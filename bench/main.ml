@@ -15,14 +15,15 @@
                                                  (BENCH JSON is unchanged)
      dune exec bench/main.exe -- --engine interp
                                               -- pick the simulator engine
-                                                 (compiled | interp |
-                                                 compiled-nosb); BENCH JSON
-                                                 is byte-identical across
+                                                 (compiled | interp; default
+                                                 APTGET_ENGINE, then
+                                                 compiled); BENCH JSON is
+                                                 byte-identical across
                                                  engines modulo wall/
                                                  throughput fields
      dune exec bench/main.exe -- --engine-bench
-                                              -- per-engine simulated
-                                                 Mcycles/sec comparison
+                                              -- interp vs compiled
+                                                 simulated Mcycles/sec
                                                  table (quick sizes)
 *)
 
@@ -144,38 +145,27 @@ let with_throughput f =
    table as an artifact.                                               *)
 
 let run_engine_bench ids =
-  let engines =
-    [
-      Machine.Interp;
-      Machine.Compiled { superblocks = false };
-      Machine.Compiled { superblocks = true };
-    ]
-  in
   let experiments =
     match ids with
     | [] -> Registry.all
     | ids -> List.filter_map Registry.find ids
   in
-  Printf.printf "%-16s %14s %14s %14s %9s\n" "experiment" "interp Mc/s"
-    "compiled Mc/s" "+traces Mc/s" "speedup";
-  Printf.printf "%s\n" (String.make 72 '-');
+  Printf.printf "%-16s %14s %14s %9s\n" "experiment" "interp Mc/s"
+    "compiled Mc/s" "speedup";
+  Printf.printf "%s\n" (String.make 57 '-');
   List.iter
     (fun (e : Registry.experiment) ->
-      let rates =
-        List.map
-          (fun engine ->
-            Machine.set_default_engine engine;
-            let lab = Lab.create ~quick:true () in
-            let (), tp = with_throughput (fun () -> ignore (e.Registry.run lab)) in
-            tp)
-          engines
+      let rate name =
+        Machine.set_default_engine (Option.get (Machine.engine_of_string name));
+        let lab = Lab.create ~quick:true () in
+        let (), tp = with_throughput (fun () -> ignore (e.Registry.run lab)) in
+        tp
       in
-      match rates with
-      | [ interp; compiled; traces ] ->
-        Printf.printf "%-16s %14.1f %14.1f %14.1f %8.2fx\n%!" e.Registry.id
-          interp compiled traces
-          (if interp > 0. then traces /. interp else 0.)
-      | _ -> ())
+      let interp = rate "interp" in
+      let compiled = rate "compiled" in
+      Printf.printf "%-16s %14.1f %14.1f %8.2fx\n%!" e.Registry.id interp
+        compiled
+        (if interp > 0. then compiled /. interp else 0.))
     experiments
 
 let () =
@@ -200,15 +190,19 @@ let () =
   Option.iter
     (fun j -> Aptget_util.Pool.set_default_jobs (Some j))
     (Option.bind jobs int_of_string_opt);
-  Option.iter
-    (fun e ->
-      match Machine.engine_of_string e with
-      | Some e -> Machine.set_default_engine e
-      | None ->
-        Printf.eprintf
-          "unknown engine %s; known: interp, compiled, compiled-nosb\n" e;
-        exit 2)
-    engine;
+  (match engine with
+  | Some e -> (
+    match Machine.engine_of_string e with
+    | Some e -> Machine.set_default_engine e
+    | None ->
+      Printf.eprintf "unknown engine %s; known: interp, compiled\n" e;
+      exit 2)
+  | None -> (
+    match Machine.engine_of_env () with
+    | _ -> ()
+    | exception Invalid_argument msg ->
+      prerr_endline msg;
+      exit 2));
   Aptget_obs.Obs.install ?trace ?metrics ();
   let quick =
     List.mem "--quick" args || Sys.getenv_opt "APTGET_BENCH_QUICK" <> None

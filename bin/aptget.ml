@@ -106,7 +106,8 @@ let jobs_term =
 (* --engine, shared by every command that runs simulations. The flag
    overrides APTGET_ENGINE; the default is the compiled engine. All
    engines produce identical cycles, counters and outcomes — interp is
-   kept as the differential oracle. *)
+   kept as the differential oracle. A bad APTGET_ENGINE is rejected
+   here too, unless the flag overrides it. *)
 let engine_term =
   let flag =
     Arg.(
@@ -114,21 +115,21 @@ let engine_term =
       & opt (some string) None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Simulator engine: $(b,compiled) (closure-compiled blocks \
-             plus superblock traces; the default), $(b,compiled-nosb) \
-             (compiled blocks, no traces) or $(b,interp) (the reference \
-             interpreter). Engines are byte-identical in every simulated \
-             number; they differ only in wall-clock speed. Overrides the \
+            "Simulator engine: $(b,compiled) (closure-compiled blocks; \
+             the default) or $(b,interp) (the reference interpreter). \
+             Engines are byte-identical in every simulated number; they \
+             differ only in wall-clock speed. Overrides the \
              $(b,APTGET_ENGINE) environment variable.")
   in
   let apply = function
-    | None -> ()
+    | None -> (
+      match Machine.engine_of_env () with
+      | _ -> ()
+      | exception Invalid_argument msg -> die "%s" msg)
     | Some s -> (
       match Machine.engine_of_string s with
       | Some e -> Machine.set_default_engine e
-      | None ->
-        die "bad --engine value: %s (known: compiled, compiled-nosb, interp)"
-          s)
+      | None -> die "bad --engine value: %s (known: compiled, interp)" s)
   in
   Term.(const apply $ flag)
 

@@ -93,30 +93,39 @@ type window_report = Exec.window_report = {
 (* Engine selection                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* [superblocks] is ignored: it survives only so existing callers
+   that build the constructor keep compiling. *)
 type engine = Interp | Compiled of { superblocks : bool }
+
+let compiled = Compiled { superblocks = true }
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "interp" | "interpreter" -> Some Interp
-  | "compiled" -> Some (Compiled { superblocks = true })
-  | "compiled-nosb" | "compiled-flat" -> Some (Compiled { superblocks = false })
+  | "compiled" -> Some compiled
   | _ -> None
 
-let engine_to_string = function
-  | Interp -> "interp"
-  | Compiled { superblocks = true } -> "compiled"
-  | Compiled { superblocks = false } -> "compiled-nosb"
-
-let initial_engine =
-  match Option.bind (Sys.getenv_opt "APTGET_ENGINE") engine_of_string with
-  | Some e -> e
-  | None -> Compiled { superblocks = true }
+(* Unknown values are an error, not a silent fallback: a misspelt
+   [APTGET_ENGINE=interp] must not quietly run the compiled engine
+   against itself in an oracle diff. *)
+let engine_of_env () =
+  match Sys.getenv_opt "APTGET_ENGINE" with
+  | None -> compiled
+  | Some s -> (
+    match engine_of_string s with
+    | Some e -> e
+    | None ->
+      invalid_arg
+        (Printf.sprintf "bad APTGET_ENGINE value: %s (known: compiled, interp)"
+           s))
 
 (* Atomic so a CLI override made before worker domains spawn is seen by
    all of them. *)
-let default_engine_a = Atomic.make initial_engine
-let set_default_engine e = Atomic.set default_engine_a e
-let default_engine () = Atomic.get default_engine_a
+let default_engine_a = Atomic.make None
+let set_default_engine e = Atomic.set default_engine_a (Some e)
+
+let default_engine () =
+  match Atomic.get default_engine_a with Some e -> e | None -> engine_of_env ()
 
 (* ------------------------------------------------------------------ *)
 (* Simulation throughput                                               *)
@@ -153,6 +162,28 @@ let note_run ~cycles ~wall_s =
    has executed. Solo execution drives the stepper to completion in a
    tight loop; the co-run scheduler ({!Corun}) interleaves steppers
    from several streams over one shared LLC. *)
+
+(* The interpreted step: [run_block cur prev] runs one block and says
+   where control goes next. *)
+let drive ~entry run_block =
+  let cur = ref entry in
+  let prev = ref (-1) in
+  let running = ref true in
+  let ret = ref None in
+  let step () =
+    !running
+    && begin
+         (match run_block !cur !prev with
+         | `Goto next ->
+           prev := !cur;
+           cur := next
+         | `Done v ->
+           ret := v;
+           running := false);
+         !running
+       end
+  in
+  (ret, step)
 
 let stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs
     ~(plan : Compile.t) (f : Ir.func) =
@@ -266,23 +297,7 @@ let stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs
       charge 1 1;
       `Done (Option.map eval v)
   in
-  let cur = ref f.Ir.entry in
-  let prev = ref (-1) in
-  let running = ref true in
-  let ret = ref None in
-  let step () =
-    !running
-    && begin
-         (match run_block !cur !prev with
-         | `Goto next ->
-           prev := !cur;
-           cur := next
-         | `Done v ->
-           ret := v;
-           running := false);
-         !running
-       end
-  in
+  let ret, step = drive ~entry:f.Ir.entry run_block in
   (st, ret, step)
 
 (* ------------------------------------------------------------------ *)
@@ -444,23 +459,7 @@ let stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
       (match v with Some o -> wait_for [ o ] | None -> ());
       `Done (Option.map eval v)
   in
-  let cur = ref f.Ir.entry in
-  let prev = ref (-1) in
-  let running = ref true in
-  let ret = ref None in
-  let step () =
-    !running
-    && begin
-         (match run_block !cur !prev with
-         | `Goto next ->
-           prev := !cur;
-           cur := next
-         | `Done v ->
-           ret := v;
-           running := false);
-         !running
-       end
-  in
+  let ret, step = drive ~entry:f.Ir.entry run_block in
   (st, ret, step)
 
 (* ------------------------------------------------------------------ *)
@@ -476,9 +475,7 @@ type stepper = {
 
 let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
     ?window_cycles ?on_window ?(args = []) ~mem (f : Ir.func) =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine_a
-  in
+  let engine = match engine with Some e -> e | None -> default_engine () in
   let hier =
     match hierarchy with Some h -> h | None -> Hierarchy.create config.hierarchy
   in
@@ -503,9 +500,8 @@ let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
     | Interp, Stall_on_use { window } ->
       stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
         ~plan f
-    | Compiled { superblocks }, Blocking ->
-      Compiled.stepper_blocking ~config ~hier ~sampler ~wtick ~superblocks
-        ~mem ~regs ~plan f
+    | Compiled _, Blocking ->
+      Compiled.stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs ~plan f
     | Compiled _, Stall_on_use { window } ->
       Compiled.stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs
         ~window ~plan f

@@ -1,9 +1,13 @@
-(** Flat, word-addressed simulated memory.
+(** Word-addressed simulated memory: one contiguous address space.
 
     The workloads lay out their data structures (graphs, tables, hash
     buckets) in this address space; the timing simulator translates word
     addresses to 64-byte cache lines. One word = 8 bytes, so 8 words per
-    line. Addresses are plain [int] word indices. *)
+    line. Addresses are plain [int] word indices.
+
+    The words live in a [Bigarray.Array1] of native ints outside the
+    OCaml heap: the GC never scans the payload and the load/store hot
+    path pays no boxing or tag overhead. *)
 
 type t
 
@@ -15,27 +19,12 @@ type region = {
 (** A named allocation, used by workloads to pass base addresses into IR
     kernels and by diagnostics to attribute cache traffic. *)
 
-type backend = [ `Array | `Bigarray ]
-(** Storage backing. [`Bigarray] (the default) keeps the words in a
-    [Bigarray.Array1] of native ints outside the OCaml heap: the GC
-    never scans the payload and the load/store hot path pays no
-    boxing/tag overhead. [`Array] is the original [int array] backing,
-    kept as a differential oracle. Both behave identically, including
-    zero-initialisation of alignment gaps between regions. *)
-
 val words_per_line : int
 (** 8: cache line size (64 B) divided by word size (8 B). *)
 
-val default_backend : unit -> backend
-(** [`Bigarray], unless the [APTGET_MEM_BACKEND] environment variable
-    is set to [array] (or [flat]). *)
-
-val create : ?capacity_words:int -> ?backing:backend -> unit -> t
+val create : ?capacity_words:int -> unit -> t
 (** Fresh memory; capacity defaults to 1 Mi words (8 MiB) and grows on
-    demand in [alloc]. [backing] defaults to {!default_backend}. *)
-
-val backend : t -> backend
-(** The backing this memory was created with. *)
+    demand in [alloc]. *)
 
 val alloc : t -> name:string -> words:int -> region
 (** Bump-allocate [words] words, line-aligned, zero-initialised. *)

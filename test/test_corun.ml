@@ -4,7 +4,7 @@
    Corun.run is the multi-tenant face of the machine: a solo schedule
    must reproduce Machine.execute byte-for-byte, and a multi-stream
    schedule must produce identical per-stream outcomes under every
-   engine (the superblock tier is normalized away) and every policy.
+   engine and every policy.
    The pins lock three fixed bugs: the hardware prefetcher walking
    past the memory extent, Model.top_peak assuming a sorted peak
    list, and positional List.nth in builder specs failing without a
@@ -17,14 +17,11 @@ module Hierarchy = Aptget_cache.Hierarchy
 module Model = Aptget_profile.Model
 module Rng = Aptget_util.Rng
 
+(* Every engine, under the name the CLI and APTGET_ENGINE take. *)
 let engines =
-  [
-    Machine.Interp;
-    Machine.Compiled { superblocks = false };
-    Machine.Compiled { superblocks = true };
-  ]
-
-let ename = Machine.engine_to_string
+  List.map
+    (fun name -> (name, Option.get (Machine.engine_of_string name)))
+    [ "interp"; "compiled" ]
 
 (* Same shape as test_engine's generator: a branchy gather loop with
    data-dependent control flow, optional prefetches and stores. *)
@@ -116,10 +113,10 @@ let corun_obs ~engine ~policy () =
 
 (* A single-stream schedule is just the machine: same cycles, same
    counters, same return value as Machine.execute, under every
-   engine (solo schedules keep the superblock tier). *)
+   engine. *)
 let test_solo_matches_execute () =
   List.iter
-    (fun engine ->
+    (fun (name, engine) ->
       let f, mem, base = tenant_a () in
       let solo = Machine.execute ~engine ~args:[ base; 7 ] ~mem f in
       let f', mem', base' = tenant_a () in
@@ -130,7 +127,7 @@ let test_solo_matches_execute () =
       | [ so ] ->
         Alcotest.(check string) "name" "a" so.Corun.so_name;
         Alcotest.(check bool)
-          (ename engine ^ " solo outcome")
+          (name ^ " solo outcome")
           true
           (obs solo = obs so.Corun.so_outcome)
       | l ->
@@ -144,7 +141,9 @@ let test_corun_engine_parity () =
   List.iter
     (fun policy ->
       let runs =
-        List.map (fun e -> (e, corun_obs ~engine:e ~policy ())) engines
+        List.map
+          (fun (name, engine) -> (name, corun_obs ~engine ~policy ()))
+          engines
       in
       match runs with
       | (e0, r0) :: rest ->
@@ -153,14 +152,14 @@ let test_corun_engine_parity () =
             Alcotest.(check bool)
               (Printf.sprintf "%s: %s vs %s"
                  (Corun.policy_to_string policy)
-                 (ename e0) (ename e))
+                 e0 e)
               true (r0 = r))
           rest
       | [] -> ())
     [ Corun.Round_robin; Corun.Cycle_ratio [ 2; 1 ] ]
 
 let test_corun_determinism () =
-  let engine = Machine.Compiled { superblocks = true } in
+  let engine = List.assoc "compiled" engines in
   List.iter
     (fun policy ->
       let r1 = corun_obs ~engine ~policy () in
@@ -219,7 +218,7 @@ let test_policy_of_string () =
 (* ---------------- property: mutated tenant pairs ---------------- *)
 
 (* Random pairs of mutate-derived kernels interleaved under a random
-   policy: per-stream outcomes must agree across all three engines. *)
+   policy: per-stream outcomes must agree across both engines. *)
 let prop_corun_mutated =
   QCheck.Test.make ~name:"engines agree on co-run mutated programs" ~count:20
     QCheck.(
@@ -253,7 +252,7 @@ let prop_corun_mutated =
           ]
         |> List.map (fun so -> (so.Corun.so_name, obs so.Corun.so_outcome))
       in
-      match List.map run engines with
+      match List.map (fun (_, engine) -> run engine) engines with
       | r0 :: rest -> List.for_all (fun r -> r = r0) rest
       | [] -> true)
 
@@ -263,8 +262,7 @@ let prop_corun_mutated =
    extent. A sequential walk that ends on the last allocated word must
    not issue the next-line prefetch past the region: on a memory one
    line larger the identical walk issues strictly more hardware
-   prefetches. Runs against the live Memory backend, so CI exercises
-   it under both APTGET_MEM_BACKEND values. *)
+   prefetches. *)
 let walk_kernel ~words () =
   let b = Builder.create ~name:"walk" ~nparams:1 in
   let base = List.hd (Builder.params b) in

@@ -1,10 +1,10 @@
 (* Differential testing of the execution engines.
 
-   The compiled engine (with and without the superblock tier) must be
-   byte-identical to the reference interpreter: same cycles, instrs,
-   loads, prefetches and return value; same sampler LBR/PEBS tallies;
-   and the same exception payloads ([Fuse_blown], [Deadline_blown],
-   watchdog timeouts) raised at the same instruction/cycle. *)
+   The compiled engine must be byte-identical to the reference
+   interpreter: same cycles, instrs, loads, prefetches and return
+   value; same sampler LBR/PEBS tallies; and the same exception
+   payloads ([Fuse_blown], [Deadline_blown], watchdog timeouts) raised
+   at the same instruction/cycle. *)
 
 module Machine = Aptget_machine.Machine
 module Memory = Aptget_mem.Memory
@@ -12,21 +12,18 @@ module Sampler = Aptget_pmu.Sampler
 module Lbr = Aptget_pmu.Lbr
 module Watchdog = Aptget_core.Watchdog
 
+(* Every engine, under the name the CLI and APTGET_ENGINE take. *)
 let engines =
-  [
-    Machine.Interp;
-    Machine.Compiled { superblocks = false };
-    Machine.Compiled { superblocks = true };
-  ]
-
-let ename = Machine.engine_to_string
+  List.map
+    (fun name -> (name, Option.get (Machine.engine_of_string name)))
+    [ "interp"; "compiled" ]
 
 (* ---------------- program generators ---------------- *)
 
 (* A branchy gather loop: every iteration loads from a seed-scrambled
    index, then takes a data-dependent branch whose arms merge through a
-   phi. Exercises phi moves, ALU batching, loads, prefetches, stores
-   and (run long enough) the superblock tier's traces and side exits. *)
+   phi. Exercises phi moves, ALU batching, loads, prefetches and
+   stores. *)
 let branchy_kernel ~n ~stride ~with_prefetch ~with_store () =
   let b = Builder.create ~name:"diff" ~nparams:2 in
   let base, seed =
@@ -131,7 +128,7 @@ let check_identical what runs =
   | (e0, r0) :: rest ->
     List.iter
       (fun (e, r) ->
-        let ctx = Printf.sprintf "%s: %s vs %s" what (ename e0) (ename e) in
+        let ctx = Printf.sprintf "%s: %s vs %s" what e0 e in
         Alcotest.(check bool) (ctx ^ " outcome") true (r0.outcome = r.outcome);
         Alcotest.(check (option string)) (ctx ^ " failure") r0.failure r.failure;
         Alcotest.(check bool) (ctx ^ " lbr") true (r0.lbr = r.lbr);
@@ -142,15 +139,17 @@ let check_identical what runs =
       rest
 
 let all_engines ?config ?sample f =
-  List.map (fun e -> (e, run_with ~engine:e ?config ?sample f)) engines
+  List.map
+    (fun (name, engine) -> (name, run_with ~engine ?config ?sample f))
+    engines
 
 (* ---------------- pinned parity tests ---------------- *)
 
-(* Long enough for the superblock tier to build traces (warmup is 4096
-   dispatches) and then side-exit on the data-dependent diamond. *)
-let test_superblock_parity () =
+(* A long run: thousands of iterations through the data-dependent
+   diamond, every instruction kind on the path. *)
+let test_long_run_parity () =
   let f = branchy_kernel ~n:4000 ~stride:17 ~with_prefetch:true ~with_store:true () in
-  check_identical "superblock" (all_engines f)
+  check_identical "long run" (all_engines f)
 
 let test_sampler_parity () =
   let f = branchy_kernel ~n:1500 ~stride:29 ~with_prefetch:false ~with_store:false () in
@@ -176,7 +175,7 @@ let test_fuse_parity () =
          payload is always exactly fuse + 1 — pinned here so the
          compiled engine's batch settlement can't drift. *)
       Alcotest.(check (option string))
-        (ename e ^ " fuse payload")
+        (e ^ " fuse payload")
         (Some "Fuse_blown 10001") r.failure)
     runs
 
@@ -192,7 +191,7 @@ let test_deadline_parity () =
       let runs = all_engines ~config f in
       check_identical "deadline" runs;
       List.iter
-        (fun ((_ : Machine.engine), r) ->
+        (fun (_, r) ->
           match r.failure with
           | Some s ->
             Alcotest.(check bool)
@@ -214,7 +213,7 @@ let test_watchdog_parity () =
   in
   let spent =
     List.map
-      (fun engine ->
+      (fun (name, engine) ->
         let mem, base = fresh_mem () in
         match
           Watchdog.run ~config:wd_config ~machine:Machine.default_config
@@ -226,7 +225,7 @@ let test_watchdog_parity () =
         | _ -> Alcotest.fail "expected Timed_out"
         | exception Watchdog.Timed_out t ->
           Alcotest.(check int)
-            (ename engine ^ " watchdog limit")
+            (name ^ " watchdog limit")
             40_000 t.Watchdog.t_limit;
           t.Watchdog.t_spent)
       engines
@@ -235,7 +234,34 @@ let test_watchdog_parity () =
   | a :: rest ->
     List.iter (fun b -> Alcotest.(check int) "watchdog t_spent" a b) rest
   | [] -> ());
-  Machine.set_default_engine (Machine.Compiled { superblocks = true })
+  Machine.set_default_engine (List.assoc "compiled" engines)
+
+(* A misspelt APTGET_ENGINE must be rejected, naming the known engines:
+   falling back to the compiled default would make an interpreter
+   oracle run quietly diff the compiled engine against itself. *)
+let test_env_engine () =
+  let saved = Sys.getenv_opt "APTGET_ENGINE" in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "APTGET_ENGINE" (Option.value saved ~default:"compiled"))
+    (fun () ->
+      List.iter
+        (fun (name, engine) ->
+          Unix.putenv "APTGET_ENGINE" (String.uppercase_ascii name);
+          Alcotest.(check bool)
+            (name ^ " from the environment")
+            true
+            (Machine.engine_of_env () = engine))
+        engines;
+      List.iter
+        (fun bad ->
+          Unix.putenv "APTGET_ENGINE" bad;
+          Alcotest.check_raises ("rejects " ^ bad)
+            (Invalid_argument
+               (Printf.sprintf
+                  "bad APTGET_ENGINE value: %s (known: compiled, interp)" bad))
+            (fun () -> ignore (Machine.engine_of_env ())))
+        [ "interpreted"; "compiled-fast"; "" ])
 
 (* ---------------- property: mutate-derived programs ---------------- *)
 
@@ -268,13 +294,14 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "superblock parity" `Quick test_superblock_parity;
+          Alcotest.test_case "long-run parity" `Quick test_long_run_parity;
           Alcotest.test_case "sampler parity" `Quick test_sampler_parity;
           Alcotest.test_case "stall-on-use parity" `Quick
             test_stall_on_use_parity;
           Alcotest.test_case "fuse parity" `Quick test_fuse_parity;
           Alcotest.test_case "deadline parity" `Quick test_deadline_parity;
           Alcotest.test_case "watchdog parity" `Quick test_watchdog_parity;
+          Alcotest.test_case "APTGET_ENGINE validation" `Quick test_env_engine;
           QCheck_alcotest.to_alcotest prop_mutated_programs;
         ] );
     ]

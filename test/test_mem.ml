@@ -70,90 +70,86 @@ let test_line_of_addr () =
   Alcotest.(check int) "line 0" 0 (Memory.line_of_addr 7);
   Alcotest.(check int) "line 1" 1 (Memory.line_of_addr 8)
 
-(* Region-edge accesses for both backings: the last allocated word is
-   the edge of the bounds check ([next]), so get/set must work at
-   [base + words - 1] and raise one word past it — under the default
-   Bigarray backing and the plain-array one alike. The unsafe accessors
-   behind the explicit check make this the test that matters. *)
+(* Region-edge accesses: the last allocated word is the edge of the
+   bounds check ([next]), so get/set must work at [base + words - 1]
+   and raise one word past it. The unsafe accessors behind the
+   explicit check make this the test that matters. *)
 let test_region_edges () =
-  List.iter
-    (fun backing ->
-      let name =
-        match backing with `Array -> "array" | `Bigarray -> "bigarray"
-      in
-      let m = Memory.create ~capacity_words:64 ~backing () in
-      let r = Memory.alloc m ~name:"edge" ~words:24 in
-      let last = r.Memory.base + r.Memory.words - 1 in
-      Memory.set m r.Memory.base 11;
-      Memory.set m last 22;
-      Alcotest.(check int) (name ^ " first word") 11 (Memory.get m r.Memory.base);
-      Alcotest.(check int) (name ^ " last word") 22 (Memory.get m last);
-      Alcotest.(check bool) (name ^ " get past end raises") true
-        (try
-           ignore (Memory.get m (last + 1));
-           false
-         with Invalid_argument _ -> true);
-      Alcotest.(check bool) (name ^ " set past end raises") true
-        (try
-           Memory.set m (last + 1) 1;
-           false
-         with Invalid_argument _ -> true);
-      Alcotest.(check bool) (name ^ " negative set raises") true
-        (try
-           Memory.set m (-1) 1;
-           false
-         with Invalid_argument _ -> true);
-      (* blit_array: exactly full is fine (and lands on the edge), one
-         element more must raise before touching memory. *)
-      let full = Array.init r.Memory.words (fun i -> 100 + i) in
-      Memory.blit_array m r full;
-      Alcotest.(check int)
-        (name ^ " blit reaches last word")
-        (100 + r.Memory.words - 1)
-        (Memory.get m last);
-      Alcotest.(check (array int)) (name ^ " blit roundtrip") full
-        (Memory.read_array m r);
-      Alcotest.check_raises
-        (name ^ " blit overflow")
-        (Invalid_argument "Memory.blit_array: too large")
-        (fun () ->
-          Memory.blit_array m r (Array.make (r.Memory.words + 1) 0));
-      Alcotest.(check int)
-        (name ^ " overflow left memory untouched")
-        (100 + r.Memory.words - 1)
-        (Memory.get m last);
-      (* A grown memory keeps the same backing and the same edge
-         behaviour. *)
-      let big = Memory.alloc m ~name:"grown" ~words:4096 in
-      Alcotest.(check bool)
-        (name ^ " backing preserved across growth")
-        true
-        (Memory.backend m = backing);
-      let glast = big.Memory.base + big.Memory.words - 1 in
-      Memory.set m glast 33;
-      Alcotest.(check int) (name ^ " grown last word") 33 (Memory.get m glast);
-      Alcotest.(check bool) (name ^ " grown get past end raises") true
-        (try
-           ignore (Memory.get m (glast + 1));
-           false
-         with Invalid_argument _ -> true))
-    [ `Array; `Bigarray ]
+  let m = Memory.create ~capacity_words:64 () in
+  let r = Memory.alloc m ~name:"edge" ~words:24 in
+  let last = r.Memory.base + r.Memory.words - 1 in
+  Memory.set m r.Memory.base 11;
+  Memory.set m last 22;
+  Alcotest.(check int) "first word" 11 (Memory.get m r.Memory.base);
+  Alcotest.(check int) "last word" 22 (Memory.get m last);
+  Alcotest.(check bool) "get past end raises" true
+    (try
+       ignore (Memory.get m (last + 1));
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "set past end raises" true
+    (try
+       Memory.set m (last + 1) 1;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "negative set raises" true
+    (try
+       Memory.set m (-1) 1;
+       false
+     with Invalid_argument _ -> true);
+  (* blit_array: exactly full is fine (and lands on the edge), one
+     element more must raise before touching memory. *)
+  let full = Array.init r.Memory.words (fun i -> 100 + i) in
+  Memory.blit_array m r full;
+  Alcotest.(check int) "blit reaches last word" (100 + r.Memory.words - 1)
+    (Memory.get m last);
+  Alcotest.(check (array int)) "blit roundtrip" full (Memory.read_array m r);
+  Alcotest.check_raises "blit overflow"
+    (Invalid_argument "Memory.blit_array: too large") (fun () ->
+      Memory.blit_array m r (Array.make (r.Memory.words + 1) 0));
+  Alcotest.(check int) "overflow left memory untouched"
+    (100 + r.Memory.words - 1)
+    (Memory.get m last);
+  (* A grown memory keeps its contents and the same edge behaviour. *)
+  let big = Memory.alloc m ~name:"grown" ~words:4096 in
+  Alcotest.(check int) "contents survive growth" 100 (Memory.get m r.Memory.base);
+  let glast = big.Memory.base + big.Memory.words - 1 in
+  Memory.set m glast 33;
+  Alcotest.(check int) "grown last word" 33 (Memory.get m glast);
+  Alcotest.(check bool) "grown get past end raises" true
+    (try
+       ignore (Memory.get m (glast + 1));
+       false
+     with Invalid_argument _ -> true)
 
-(* The two backings must be observably identical on the same
-   operation sequence. *)
-let prop_backends_agree =
-  QCheck.Test.make ~name:"array and bigarray backings agree" ~count:50
-    QCheck.(list_of_size Gen.(1 -- 40) (pair (int_range 0 63) small_int))
-    (fun ops ->
-      let run backing =
-        let m = Memory.create ~capacity_words:16 ~backing () in
-        let r = Memory.alloc m ~name:"r" ~words:64 in
-        List.iter
-          (fun (off, v) -> Memory.set m (r.Memory.base + off) v)
-          ops;
-        Array.to_list (Memory.read_array m r)
+(* Memory against a test-local reference: a plain [int array] over the
+   same address range, zero-initialised, taking the same writes. The
+   allocations grow memory past its 16-word initial capacity and leave
+   alignment gaps between regions, which must read 0. *)
+let prop_matches_array_model =
+  QCheck.Test.make ~name:"memory matches an int array model" ~count:50
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 4) (int_range 1 40))
+        (list_of_size Gen.(1 -- 40) (pair small_nat int)))
+    (fun (sizes, writes) ->
+      let m = Memory.create ~capacity_words:16 () in
+      let regions =
+        List.map (fun words -> Memory.alloc m ~name:"r" ~words) sizes
       in
-      run `Array = run `Bigarray)
+      let n = Memory.size_words m in
+      let model = Array.make n 0 in
+      List.iter
+        (fun (a, v) ->
+          let a = a mod n in
+          Memory.set m a v;
+          model.(a) <- v)
+        writes;
+      Array.init n (Memory.get m) = model
+      && List.for_all
+           (fun (r : Memory.region) ->
+             Memory.read_array m r = Array.sub model r.Memory.base r.Memory.words)
+           regions)
 
 let prop_alloc_disjoint =
   QCheck.Test.make ~name:"allocations never overlap" ~count:50
@@ -194,6 +190,6 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_alloc_disjoint;
-          QCheck_alcotest.to_alcotest prop_backends_agree;
+          QCheck_alcotest.to_alcotest prop_matches_array_model;
         ] );
     ]
