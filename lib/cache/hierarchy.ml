@@ -35,18 +35,7 @@ let default_config =
 
 type level = L1 | L2 | Llc | Dram
 
-let level_to_string = function
-  | L1 -> "L1"
-  | L2 -> "L2"
-  | Llc -> "LLC"
-  | Dram -> "DRAM"
-
-type access = {
-  latency : int;
-  served_from : level;
-  fill_buffer_hit : bool;
-  late_sw_prefetch : bool;
-}
+type access = { latency : int; served_from : level }
 
 (* Fields are mutable so the per-access hot path bumps them in place;
    a functional [{ c with ... }] update allocated a fresh 15-field
@@ -339,22 +328,12 @@ let demand_load t ~pc ~addr ~cycle =
     t.c.offcore_demand_data_rd <- t.c.offcore_demand_data_rd + 1;
     t.c.stall_cycles_dram <- t.c.stall_cycles_dram + wait;
     hw_prefetch_lines t ~pc ~addr ~miss:true ~cycle;
-    {
-      latency = wait + t.cfg.l1_latency;
-      served_from = Dram;
-      fill_buffer_hit = true;
-      late_sw_prefetch = late_sw;
-    }
+    { latency = wait + t.cfg.l1_latency; served_from = Dram }
   | None ->
     if Cache.touch t.l1 line then begin
       t.c.hits_l1 <- t.c.hits_l1 + 1;
       hw_prefetch_lines t ~pc ~addr ~miss:false ~cycle;
-      {
-        latency = t.cfg.l1_latency;
-        served_from = L1;
-        fill_buffer_hit = false;
-        late_sw_prefetch = false;
-      }
+      { latency = t.cfg.l1_latency; served_from = L1 }
     end
     else if Cache.touch t.l2 line then begin
       ignore (Cache.insert t.l1 line);
@@ -362,12 +341,7 @@ let demand_load t ~pc ~addr ~cycle =
       t.c.stall_cycles_l2 <-
         t.c.stall_cycles_l2 + t.cfg.l2_latency - t.cfg.l1_latency;
       hw_prefetch_lines t ~pc ~addr ~miss:true ~cycle;
-      {
-        latency = t.cfg.l2_latency;
-        served_from = L2;
-        fill_buffer_hit = false;
-        late_sw_prefetch = false;
-      }
+      { latency = t.cfg.l2_latency; served_from = L2 }
     end
     else if Cache.touch t.shared.llc line then begin
       ignore (Cache.insert t.l2 line);
@@ -376,12 +350,7 @@ let demand_load t ~pc ~addr ~cycle =
       t.c.stall_cycles_llc <-
         t.c.stall_cycles_llc + t.cfg.llc_latency - t.cfg.l1_latency;
       hw_prefetch_lines t ~pc ~addr ~miss:true ~cycle;
-      {
-        latency = t.cfg.llc_latency;
-        served_from = Llc;
-        fill_buffer_hit = false;
-        late_sw_prefetch = false;
-      }
+      { latency = t.cfg.llc_latency; served_from = Llc }
     end
     else begin
       install_all t line;
@@ -393,12 +362,7 @@ let demand_load t ~pc ~addr ~cycle =
       t.c.stall_cycles_dram <-
         t.c.stall_cycles_dram + latency - t.cfg.l1_latency;
       hw_prefetch_lines t ~pc ~addr ~miss:true ~cycle;
-      {
-        latency;
-        served_from = Dram;
-        fill_buffer_hit = false;
-        late_sw_prefetch = false;
-      }
+      { latency; served_from = Dram }
     end
 
 let sw_prefetch t ~addr ~cycle =

@@ -39,13 +39,11 @@ val default_config : config
 
 type level = L1 | L2 | Llc | Dram
 
-val level_to_string : level -> string
-
 type access = {
   latency : int;         (** cycles the demand load blocks the core *)
   served_from : level;
-  fill_buffer_hit : bool;
-  late_sw_prefetch : bool; (** fill-buffer hit on a SW-prefetch fill *)
+      (** [Dram] also for a fill-buffer hit on an in-flight fill; the
+          counters tell the two apart *)
 }
 
 type counters = {

@@ -1,12 +1,19 @@
-(* Closure-compiled execution engine.
+(* Closure-compiled execution engine for the blocking core.
 
    Where the interpreter re-matches every instruction on every visit,
    this engine makes one pass over the {!Compile.t} plan and lowers
    each basic block into an array of OCaml closures with everything
    runtime-invariant pre-resolved: operand shapes (register slot vs
    immediate), layout PCs, branch target PCs, constant folds of
-   immediate-only ALU ops. Dispatch is then a tight loop over closure
-   arrays — no tag tests, no operand matches, no list traffic.
+   immediate-only ALU ops. A block step is then a tight loop over its
+   closure array — no tag tests, no operand matches, no list traffic —
+   driven by the shared {!Exec.dispatch} step loop.
+
+   Only the blocking core is lowered. The stall-on-use core is an
+   ablation stand-in and runs on the interpreter's stepper under
+   either engine: a compiled copy of it left the ablations BENCH JSON
+   byte-identical and its wall time within noise (8.2 s vs 8.65 s,
+   median of 4 runs), so it did not pay for its lines.
 
    Two lowering variants keep the engine byte-identical to the
    interpreter (same cycles, same counters, same exception payloads at
@@ -23,9 +30,18 @@
      cache hierarchy sees the exact same cycle stamps and no memory
      write can happen past a blown fuse.
    - GENERIC: anything with a sampler, window tick or deadline charges
-     per instruction through the same charge closure shapes as the
-     interpreter, so sampler cycle stamps, window boundaries and
-     [Deadline_blown] payloads match byte-for-byte. *)
+     per instruction through {!Exec.blocking_charge}, the interpreter's
+     own charge, so sampler cycle stamps, window boundaries and
+     [Deadline_blown] payloads match byte-for-byte.
+
+   Two specialisations were measured to pay and stay (2-core x86-64
+   dev box, perfbench):
+
+   - the FAST lowering is worth about 10% of pgo-resident
+     [pipeline_s] over running everything GENERIC;
+   - [alu_micro]'s per-opcode closures: collapsing them onto
+     {!Exec.eval_binop}/{!Exec.eval_cmp} cost 13% of unsampled execute
+     Minstr/s (15.6 -> 13.3), slower in 6 of 6 interleaved rounds. *)
 
 module Memory = Aptget_mem.Memory
 module Hierarchy = Aptget_cache.Hierarchy
@@ -37,36 +53,6 @@ type cblock = {
   cb_steps : (unit -> unit) array;
   cb_term : unit -> int;  (* next block id; -1 after Ret *)
 }
-
-(* One step = one block dispatch: phi moves, the block's steps, its
-   terminator; false once [Ret] has executed. Both cores share it, so
-   every engine advances at the interpreter's granularity (the co-run
-   scheduler interleaves streams per step). *)
-let dispatch (blocks : cblock array) entry =
-  let cur = ref entry in
-  let prev = ref (-1) in
-  let running = ref true in
-  fun () ->
-    !running
-    && begin
-         let cb = Array.unsafe_get blocks !cur in
-         cb.cb_enter !prev;
-         let steps = cb.cb_steps in
-         for j = 0 to Array.length steps - 1 do
-           (Array.unsafe_get steps j) ()
-         done;
-         let next = cb.cb_term () in
-         if next < 0 then running := false
-         else begin
-           prev := !cur;
-           cur := next
-         end;
-         !running
-       end
-
-(* ------------------------------------------------------------------ *)
-(* Blocking core                                                       *)
-(* ------------------------------------------------------------------ *)
 
 let stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs
     ~(plan : Compile.t) (f : Ir.func) =
@@ -81,34 +67,9 @@ let stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs
     && (match sampler with None -> true | Some _ -> false)
     && config.max_cycles <= 0
   in
-  (* Same three charge shapes as the interpreter; the generic variant
-     routes every instruction through one of them. *)
-  let charge =
-    match (wtick, sampler) with
-    | None, None ->
-      fun n_instr n_cycles ->
-        st.instrs <- st.instrs + n_instr;
-        st.cycle <- st.cycle + n_cycles;
-        if st.instrs > fuse then raise (Fuse_blown st.instrs);
-        check_deadline config st.cycle
-    | None, Some s ->
-      fun n_instr n_cycles ->
-        st.instrs <- st.instrs + n_instr;
-        st.cycle <- st.cycle + n_cycles;
-        if st.instrs > fuse then raise (Fuse_blown st.instrs);
-        check_deadline config st.cycle;
-        Sampler.on_cycle s ~cycle:st.cycle
-    | Some tick, _ ->
-      fun n_instr n_cycles ->
-        st.instrs <- st.instrs + n_instr;
-        st.cycle <- st.cycle + n_cycles;
-        if st.instrs > fuse then raise (Fuse_blown st.instrs);
-        check_deadline config st.cycle;
-        (match sampler with
-        | Some s -> Sampler.on_cycle s ~cycle:st.cycle
-        | None -> ());
-        tick st
-  in
+  (* The interpreter's charge; the generic variant routes every
+     instruction through it. *)
+  let charge = blocking_charge ~config ~sampler ~wtick st in
   (* 1-instruction-1-cycle (or n/n) accounting for effectful steps and
      terminators: inlined fuse check in the fast variant, the full
      charge otherwise. *)
@@ -443,246 +404,13 @@ let stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs
     }
   in
   let blocks = Array.mapi compile_block plan.Compile.cp_blocks in
-  (st, ret, dispatch blocks plan.Compile.cp_entry)
-
-(* ------------------------------------------------------------------ *)
-(* Stall-on-use core                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
-    ~(plan : Compile.t) (f : Ir.func) =
-  let st = { cycle = 0; instrs = 0; loads = 0; prefetches = 0 } in
-  let l1_lat = (Hierarchy.config hier).Hierarchy.l1_latency in
-  let fuse = config.max_instructions in
-  let ready = Array.make (Array.length regs) 0 in
-  let nscratch = max 1 plan.Compile.cp_max_phis in
-  let scratch = Array.make nscratch 0 in
-  let scratch_ready = Array.make nscratch 0 in
-  let rob = Array.make (max 1 window) 0 in
-  let rob_idx = ref 0 in
-  let ret : int option ref = ref None in
-  let fetch = function Ir.Reg r -> regs.(r) | Ir.Imm i -> i in
-  let issue =
-    match (wtick, sampler) with
-    | None, None ->
-      fun n ->
-        st.instrs <- st.instrs + n;
-        st.cycle <- max (st.cycle + n) rob.(!rob_idx);
-        if st.instrs > fuse then raise (Fuse_blown st.instrs);
-        check_deadline config st.cycle
-    | None, Some s ->
-      fun n ->
-        st.instrs <- st.instrs + n;
-        st.cycle <- max (st.cycle + n) rob.(!rob_idx);
-        if st.instrs > fuse then raise (Fuse_blown st.instrs);
-        check_deadline config st.cycle;
-        Sampler.on_cycle s ~cycle:st.cycle
-    | Some tick, _ ->
-      fun n ->
-        st.instrs <- st.instrs + n;
-        st.cycle <- max (st.cycle + n) rob.(!rob_idx);
-        if st.instrs > fuse then raise (Fuse_blown st.instrs);
-        check_deadline config st.cycle;
-        (match sampler with
-        | Some s -> Sampler.on_cycle s ~cycle:st.cycle
-        | None -> ());
-        tick st
+  let run_block cur prev =
+    let cb = Array.unsafe_get blocks cur in
+    cb.cb_enter prev;
+    let steps = cb.cb_steps in
+    for j = 0 to Array.length steps - 1 do
+      (Array.unsafe_get steps j) ()
+    done;
+    cb.cb_term ()
   in
-  let retire completion =
-    rob.(!rob_idx) <- completion;
-    rob_idx := (!rob_idx + 1) mod Array.length rob
-  in
-  (* Readiness of an operand set, pre-shaped: [ready] entries are
-     always >= 0, so the interpreter's [fold max 0] over a fresh list
-     reduces to a max over the register operands. *)
-  let rdy1 = function
-    | Ir.Reg r -> fun () -> ready.(r)
-    | Ir.Imm _ -> fun () -> 0
-  in
-  let rdy_of_regs = function
-    | [] -> fun () -> 0
-    | [ r ] -> fun () -> ready.(r)
-    | [ r1; r2 ] -> fun () -> max ready.(r1) ready.(r2)
-    | [ r1; r2; r3 ] -> fun () -> max (max ready.(r1) ready.(r2)) ready.(r3)
-    | _ -> invalid_arg "Compiled.rdy_of_regs"
-  in
-  let regs_of ops =
-    List.filter_map (function Ir.Reg r -> Some r | Ir.Imm _ -> None) ops
-  in
-  let step_closure cur ii (i : Ir.instr) : unit -> unit =
-    let d = i.Ir.dst in
-    match i.Ir.kind with
-    | Ir.Binop (op, a, b) ->
-      let r2 = rdy_of_regs (regs_of [ a; b ]) in
-      let micro =
-        match (a, b) with
-        | Ir.Reg x, Ir.Reg y ->
-          fun () -> regs.(d) <- eval_binop op regs.(x) regs.(y)
-        | Ir.Reg x, Ir.Imm y -> fun () -> regs.(d) <- eval_binop op regs.(x) y
-        | Ir.Imm x, Ir.Reg y -> fun () -> regs.(d) <- eval_binop op x regs.(y)
-        | Ir.Imm x, Ir.Imm y ->
-          let v = eval_binop op x y in
-          fun () -> regs.(d) <- v
-      in
-      fun () ->
-        issue 1;
-        let start = max st.cycle (r2 ()) in
-        micro ();
-        ready.(d) <- start + 1;
-        retire (start + 1)
-    | Ir.Cmp (op, a, b) ->
-      let r2 = rdy_of_regs (regs_of [ a; b ]) in
-      fun () ->
-        issue 1;
-        let start = max st.cycle (r2 ()) in
-        regs.(d) <- eval_cmp op (fetch a) (fetch b);
-        ready.(d) <- start + 1;
-        retire (start + 1)
-    | Ir.Select (c, a, b) ->
-      let r3 = rdy_of_regs (regs_of [ c; a; b ]) in
-      fun () ->
-        issue 1;
-        let start = max st.cycle (r3 ()) in
-        regs.(d) <- (if fetch c <> 0 then fetch a else fetch b);
-        ready.(d) <- start + 1;
-        retire (start + 1)
-    | Ir.Load a -> (
-      let pc = Layout.pc_of_instr cur ii in
-      let r1 = rdy1 a in
-      match sampler with
-      | None ->
-        fun () ->
-          issue 1;
-          let start = max st.cycle (r1 ()) in
-          let addr = fetch a in
-          let access = Hierarchy.demand_load hier ~pc ~addr ~cycle:start in
-          regs.(d) <- Memory.get mem addr;
-          st.loads <- st.loads + 1;
-          let completion =
-            start + 1 + max 0 (access.Hierarchy.latency - l1_lat)
-          in
-          ready.(d) <- completion;
-          retire completion
-      | Some s ->
-        fun () ->
-          issue 1;
-          let start = max st.cycle (r1 ()) in
-          let addr = fetch a in
-          let access = Hierarchy.demand_load hier ~pc ~addr ~cycle:start in
-          regs.(d) <- Memory.get mem addr;
-          st.loads <- st.loads + 1;
-          if access.Hierarchy.served_from = Hierarchy.Dram then
-            Sampler.on_llc_miss s ~load_pc:pc ~cycle:start;
-          let completion =
-            start + 1 + max 0 (access.Hierarchy.latency - l1_lat)
-          in
-          ready.(d) <- completion;
-          retire completion)
-    | Ir.Store (a, v) ->
-      fun () ->
-        issue 1;
-        Memory.set mem (fetch a) (fetch v);
-        retire (st.cycle + 1)
-    | Ir.Prefetch a ->
-      let r1 = rdy1 a in
-      fun () ->
-        issue 1;
-        let start = max st.cycle (r1 ()) in
-        let addr = fetch a in
-        if addr >= 0 then Hierarchy.sw_prefetch hier ~addr ~cycle:start;
-        st.prefetches <- st.prefetches + 1;
-        retire (start + 1)
-    | Ir.Work w ->
-      fun () ->
-        let n = max 0 (fetch w) in
-        if n > 0 then issue n;
-        retire st.cycle
-  in
-  let term_closure cur (t : Ir.terminator) : unit -> int =
-    let term_pc = Layout.pc_of_term cur in
-    let branch_to ~wait target =
-      let tpc = Layout.pc_of_instr target 0 in
-      match (sampler, wait) with
-      | None, None ->
-        fun () ->
-          issue 1;
-          retire (st.cycle + 1);
-          target
-      | None, Some x ->
-        fun () ->
-          issue 1;
-          st.cycle <- max st.cycle ready.(x);
-          retire (st.cycle + 1);
-          target
-      | Some s, None ->
-        fun () ->
-          issue 1;
-          retire (st.cycle + 1);
-          Sampler.on_branch s ~branch_pc:term_pc ~target_pc:tpc
-            ~cycle:st.cycle;
-          target
-      | Some s, Some x ->
-        fun () ->
-          issue 1;
-          st.cycle <- max st.cycle ready.(x);
-          retire (st.cycle + 1);
-          Sampler.on_branch s ~branch_pc:term_pc ~target_pc:tpc
-            ~cycle:st.cycle;
-          target
-    in
-    match t with
-    | Ir.Jmp l -> branch_to ~wait:None l
-    | Ir.Br (Ir.Imm c, t1, e) -> branch_to ~wait:None (if c <> 0 then t1 else e)
-    | Ir.Br (Ir.Reg x, t1, e) -> (
-      let taken = branch_to ~wait:(Some x) t1 in
-      let nottaken = branch_to ~wait:(Some x) e in
-      fun () -> if regs.(x) <> 0 then taken () else nottaken ())
-    | Ir.Ret v -> (
-      match v with
-      | None ->
-        fun () ->
-          issue 1;
-          ret := None;
-          -1
-      | Some (Ir.Reg x) ->
-        fun () ->
-          issue 1;
-          st.cycle <- max st.cycle ready.(x);
-          ret := Some regs.(x);
-          -1
-      | Some (Ir.Imm i) ->
-        let r = Some i in
-        fun () ->
-          issue 1;
-          ret := r;
-          -1)
-  in
-  let enter_closure cur (pm : Compile.phi_moves) : int -> unit =
-    let dsts = pm.Compile.pm_dsts in
-    let nphi = Array.length dsts in
-    if nphi = 0 then fun _ -> ()
-    else fun prev ->
-      let row = Compile.phi_row pm prev in
-      if row < 0 then Compile.missing_phi_edge f ~cur ~prev;
-      let ops = pm.Compile.pm_rows.(row) in
-      for k = 0 to nphi - 1 do
-        let op = ops.(k) in
-        scratch.(k) <- fetch op;
-        scratch_ready.(k) <-
-          (match op with Ir.Reg r -> ready.(r) | Ir.Imm _ -> 0)
-      done;
-      for k = 0 to nphi - 1 do
-        let r = dsts.(k) in
-        regs.(r) <- scratch.(k);
-        ready.(r) <- scratch_ready.(k)
-      done
-  in
-  let compile_block cur (bp : Compile.block_plan) : cblock =
-    {
-      cb_enter = enter_closure cur bp.Compile.bp_phis;
-      cb_steps = Array.mapi (fun ii i -> step_closure cur ii i) bp.Compile.bp_instrs;
-      cb_term = term_closure cur bp.Compile.bp_term;
-    }
-  in
-  let blocks = Array.mapi compile_block plan.Compile.cp_blocks in
-  (st, ret, dispatch blocks plan.Compile.cp_entry)
+  (st, ret, dispatch ~entry:plan.Compile.cp_entry run_block)

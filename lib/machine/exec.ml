@@ -5,6 +5,7 @@
    accounting stays byte-identical. *)
 
 module Hierarchy = Aptget_cache.Hierarchy
+module Sampler = Aptget_pmu.Sampler
 
 type core_model = Blocking | Stall_on_use of { window : int }
 
@@ -65,6 +66,56 @@ type state = {
   mutable loads : int;
   mutable prefetches : int;
 }
+
+(* The blocking core's charge: [charge n_instr n_cycles] retires
+   [n_instr] instructions over [n_cycles] cycles, then checks the fuse
+   and the deadline. The sampler and window tests are hoisted out of
+   the per-instruction path: measurement runs (no sampler) pay nothing
+   for profiling, profiled runs tick the sampler once per charge at the
+   post-advance cycle, and windowed runs take the third shape so the
+   common two stay untouched. *)
+let blocking_charge ~config ~sampler ~wtick st =
+  match (wtick, sampler) with
+  | None, None ->
+    fun n_instr n_cycles ->
+      st.instrs <- st.instrs + n_instr;
+      st.cycle <- st.cycle + n_cycles;
+      if st.instrs > config.max_instructions then raise (Fuse_blown st.instrs);
+      check_deadline config st.cycle
+  | None, Some s ->
+    fun n_instr n_cycles ->
+      st.instrs <- st.instrs + n_instr;
+      st.cycle <- st.cycle + n_cycles;
+      if st.instrs > config.max_instructions then raise (Fuse_blown st.instrs);
+      check_deadline config st.cycle;
+      Sampler.on_cycle s ~cycle:st.cycle
+  | Some tick, _ ->
+    fun n_instr n_cycles ->
+      st.instrs <- st.instrs + n_instr;
+      st.cycle <- st.cycle + n_cycles;
+      if st.instrs > config.max_instructions then raise (Fuse_blown st.instrs);
+      check_deadline config st.cycle;
+      (match sampler with
+      | Some s -> Sampler.on_cycle s ~cycle:st.cycle
+      | None -> ());
+      tick st
+
+(* One step = one block dispatch: [run_block cur prev] runs block
+   [cur] (entered from [prev], -1 at entry) and returns the next block
+   id, or -1 after [Ret]. Every stepper advances through this loop, so
+   all engines and cores move at the same granularity and the co-run
+   scheduler interleaves streams per block. *)
+let dispatch ~entry run_block =
+  let cur = ref entry in
+  let prev = ref (-1) in
+  fun () ->
+    !cur >= 0
+    && begin
+         let next = run_block !cur !prev in
+         prev := !cur;
+         cur := next;
+         next >= 0
+       end
 
 (* ------------------------------------------------------------------ *)
 (* Execution windows: periodic counter-delta snapshots for online      *)

@@ -3,7 +3,8 @@
     Everything both the interpreter ({!Machine}) and the
     closure-compiled engine ({!Compiled}) must agree on byte-for-byte
     lives here: configuration and fuses, the mutable run state, value
-    semantics for ALU/compare ops, parameter binding and the execution
+    semantics for ALU/compare ops, the blocking core's charge, the
+    block-dispatch step loop, parameter binding and the execution
     windowing machinery. {!Machine} re-exports the public pieces. *)
 
 type core_model = Blocking | Stall_on_use of { window : int }
@@ -33,6 +34,26 @@ type state = {
   mutable loads : int;
   mutable prefetches : int;
 }
+
+val blocking_charge :
+  config:config ->
+  sampler:Aptget_pmu.Sampler.t option ->
+  wtick:(state -> unit) option ->
+  state ->
+  int ->
+  int ->
+  unit
+(** [blocking_charge ~config ~sampler ~wtick st] is the blocking core's
+    [charge n_instr n_cycles]: advance [st], raise {!Fuse_blown} or
+    {!Deadline_blown} past their limits, then tick the sampler and the
+    window clock when present. The shape is chosen once per run, so an
+    unsampled, window-less run pays for neither test. *)
+
+val dispatch : entry:int -> (int -> int -> int) -> unit -> bool
+(** [dispatch ~entry run_block] is the step loop shared by every
+    stepper: each call runs one block through [run_block cur prev]
+    (which returns the next block id, or -1 after [Ret]) and returns
+    false once [Ret] has executed, and on every call after. *)
 
 type window_report = {
   w_index : int;

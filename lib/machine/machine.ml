@@ -158,70 +158,20 @@ let note_run ~cycles ~wall_s =
 
 (* Each executor is built as a *stepper*: all setup runs eagerly, then
    [step ()] performs exactly one block dispatch (phi moves, the
-   block's instructions, the terminator) and returns false once [Ret]
-   has executed. Solo execution drives the stepper to completion in a
-   tight loop; the co-run scheduler ({!Corun}) interleaves steppers
-   from several streams over one shared LLC. *)
-
-(* The interpreted step: [run_block cur prev] runs one block and says
-   where control goes next. *)
-let drive ~entry run_block =
-  let cur = ref entry in
-  let prev = ref (-1) in
-  let running = ref true in
-  let ret = ref None in
-  let step () =
-    !running
-    && begin
-         (match run_block !cur !prev with
-         | `Goto next ->
-           prev := !cur;
-           cur := next
-         | `Done v ->
-           ret := v;
-           running := false);
-         !running
-       end
-  in
-  (ret, step)
+   block's instructions, the terminator) through {!Exec.dispatch} and
+   returns false once [Ret] has executed. Solo execution drives the
+   stepper to completion in a tight loop; the co-run scheduler
+   ({!Corun}) interleaves steppers from several streams over one shared
+   LLC. *)
 
 let stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs
     ~(plan : Compile.t) (f : Ir.func) =
   let eval = function Ir.Reg r -> regs.(r) | Ir.Imm i -> i in
   let st = { cycle = 0; instrs = 0; loads = 0; prefetches = 0 } in
+  let ret = ref None in
   let l1_lat = (Hierarchy.config hier).Hierarchy.l1_latency in
   let scratch = Array.make (max 1 plan.Compile.cp_max_phis) 0 in
-  (* The sampler test is hoisted out of [charge]: measurement runs
-     (sampler = None) pay nothing per instruction, and profiled runs
-     tick once per charge — a charge of n cycles is one batched tick at
-     the post-advance cycle, exactly as before. Windowed runs take the
-     third variant so the common paths stay untouched. *)
-  let charge =
-    match (wtick, sampler) with
-    | None, None ->
-      fun n_instr n_cycles ->
-        st.instrs <- st.instrs + n_instr;
-        st.cycle <- st.cycle + n_cycles;
-        if st.instrs > config.max_instructions then raise (Fuse_blown st.instrs);
-        check_deadline config st.cycle
-    | None, Some s ->
-      fun n_instr n_cycles ->
-        st.instrs <- st.instrs + n_instr;
-        st.cycle <- st.cycle + n_cycles;
-        if st.instrs > config.max_instructions then raise (Fuse_blown st.instrs);
-        check_deadline config st.cycle;
-        Sampler.on_cycle s ~cycle:st.cycle
-    | Some tick, _ ->
-      fun n_instr n_cycles ->
-        st.instrs <- st.instrs + n_instr;
-        st.cycle <- st.cycle + n_cycles;
-        if st.instrs > config.max_instructions then raise (Fuse_blown st.instrs);
-        check_deadline config st.cycle;
-        (match sampler with
-        | Some s -> Sampler.on_cycle s ~cycle:st.cycle
-        | None -> ());
-        tick st
-  in
+  let charge = Exec.blocking_charge ~config ~sampler ~wtick st in
   (* Hoisted out of [run_block]: allocating this closure per block
      visit showed up in dispatch-heavy kernels. *)
   let record_branch cur target =
@@ -288,17 +238,17 @@ let stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs
     match blk.Ir.term with
     | Ir.Jmp l ->
       record_branch cur l;
-      `Goto l
+      l
     | Ir.Br (c, t, e) ->
       let target = if eval c <> 0 then t else e in
       record_branch cur target;
-      `Goto target
+      target
     | Ir.Ret v ->
       charge 1 1;
-      `Done (Option.map eval v)
+      ret := Option.map eval v;
+      -1
   in
-  let ret, step = drive ~entry:f.Ir.entry run_block in
-  (st, ret, step)
+  (st, ret, Exec.dispatch ~entry:f.Ir.entry run_block)
 
 (* ------------------------------------------------------------------ *)
 (* Stall-on-use core, interpreted: loads complete in the background;   *)
@@ -311,6 +261,7 @@ let stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
   let eval = function Ir.Reg r -> regs.(r) | Ir.Imm i -> i in
   let ready = Array.make (Array.length regs) 0 in
   let st = { cycle = 0; instrs = 0; loads = 0; prefetches = 0 } in
+  let ret = ref None in
   let l1_lat = (Hierarchy.config hier).Hierarchy.l1_latency in
   let nscratch = max 1 plan.Compile.cp_max_phis in
   let scratch = Array.make nscratch 0 in
@@ -449,18 +400,18 @@ let stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
     match blk.Ir.term with
     | Ir.Jmp l ->
       record_branch cur ~cond:[] l;
-      `Goto l
+      l
     | Ir.Br (c, t, e) ->
       let target = if eval c <> 0 then t else e in
       record_branch cur ~cond:[ c ] target;
-      `Goto target
+      target
     | Ir.Ret v ->
       issue ();
       (match v with Some o -> wait_for [ o ] | None -> ());
-      `Done (Option.map eval v)
+      ret := Option.map eval v;
+      -1
   in
-  let ret, step = drive ~entry:f.Ir.entry run_block in
-  (st, ret, step)
+  (st, ret, Exec.dispatch ~entry:f.Ir.entry run_block)
 
 (* ------------------------------------------------------------------ *)
 (* Steppers and the driver loop                                        *)
@@ -493,18 +444,17 @@ let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
   let regs = Array.make (max 1 f.Ir.next_reg) 0 in
   Exec.bind_params f regs args;
   let plan = Compile.plan f in
+  (* The compiled engine lowers only the blocking core; stall-on-use
+     runs on the interpreter under either engine. *)
   let st, ret, step =
     match (engine, config.core) with
     | Interp, Blocking ->
       stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs ~plan f
-    | Interp, Stall_on_use { window } ->
-      stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
-        ~plan f
     | Compiled _, Blocking ->
       Compiled.stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs ~plan f
-    | Compiled _, Stall_on_use { window } ->
-      Compiled.stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs
-        ~window ~plan f
+    | _, Stall_on_use { window } ->
+      stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
+        ~plan f
   in
   let finished = ref false in
   let outcome = ref None in

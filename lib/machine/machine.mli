@@ -8,13 +8,19 @@
     - {!Compiled} (the default): a one-time pass lowers each basic
       block into an array of OCaml closures with operand shapes, layout
       PCs and sampler hooks pre-resolved; unsampled runs additionally
-      batch pure ALU runs. 3-10x faster than the interpreter on the
-      quick bench.
+      batch pure ALU runs. [bench/main.exe --engine-bench] puts it at
+      about 1.0x to 1.5x the interpreter's simulated Mcycles/s across
+      the quick suite (on a 2-core x86-64 host, one run read 1.05x on
+      fig5 to 1.51x on fig1, another 0.93x on table1 to 1.46x on
+      fig12): the cache hierarchy both engines share dominates most
+      runs.
     - {!Interp}: the original match-dispatch interpreter, kept as the
       differential oracle ([--engine interp] in the CLI and bench; the
       [test_engine] suite cross-checks the two on random programs).
 
-    Both engines dispatch exactly one basic block per step. The engine
+    Only the blocking core is compiled; a {!Stall_on_use} run takes the
+    interpreter under either engine. Every engine dispatches exactly
+    one basic block per step. The engine
     is picked per call ([?engine]), falling back to the process default
     ({!set_default_engine}, or the [APTGET_ENGINE] environment
     variable: [compiled] | [interp]).
@@ -117,8 +123,10 @@ val useless_prefetch_ratio : Aptget_cache.Hierarchy.counters -> float
 type engine =
   | Interp  (** match-dispatch interpreter (differential oracle) *)
   | Compiled of { superblocks : bool }
-      (** closure-compiled plans. [superblocks] is ignored: no code
-          reads it, and both values select the same engine. *)
+      (** closure-compiled plans for the {!Blocking} core; a
+          {!Stall_on_use} run is interpreted under this engine too.
+          [superblocks] is ignored: no code reads it, and both values
+          select the same engine. *)
 
 val engine_of_string : string -> engine option
 (** ["interp"] or ["compiled"] (case-insensitive). *)

@@ -11,11 +11,7 @@ type big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
    initial buffer and every grown tail are zero-filled explicitly —
    alignment gaps between regions are readable (addr < next) and must
    read 0. *)
-type t = {
-  mutable data : big;
-  mutable next : int;
-  mutable regions : region list; (* reversed *)
-}
+type t = { mutable data : big; mutable next : int }
 
 let words_per_line = 8
 
@@ -25,7 +21,7 @@ let make_big cap : big =
   b
 
 let create ?(capacity_words = 1 lsl 20) () =
-  { data = make_big capacity_words; next = 0; regions = [] }
+  { data = make_big capacity_words; next = 0 }
 
 let ensure t needed =
   let cap = Bigarray.Array1.dim t.data in
@@ -46,9 +42,7 @@ let alloc t ~name ~words =
   ensure t (base + words_alloc);
   Bigarray.Array1.fill (Bigarray.Array1.sub t.data base words_alloc) 0;
   t.next <- base + words_alloc;
-  let r = { name; base; words = words_alloc } in
-  t.regions <- r :: t.regions;
-  r
+  { name; base; words = words_alloc }
 
 let size_words t = t.next
 
@@ -77,17 +71,3 @@ let blit_array t r a =
   for i = 0 to Array.length a - 1 do
     Bigarray.Array1.unsafe_set t.data (r.base + i) (Array.unsafe_get a i)
   done
-
-let read_array t r =
-  Array.init r.words (fun i -> Bigarray.Array1.unsafe_get t.data (r.base + i))
-
-let line_of_addr addr = addr / words_per_line
-let regions t = List.rev t.regions
-
-(* Regions never overlap (bump allocation), so searching the stored
-   reversed list finds the same region as searching allocation order —
-   without rebuilding the list on every lookup. *)
-let find_region t addr =
-  List.find_opt
-    (fun r -> addr >= r.base && addr < r.base + r.words)
-    t.regions

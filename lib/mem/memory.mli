@@ -17,7 +17,7 @@ type region = {
   words : int; (** length in words *)
 }
 (** A named allocation, used by workloads to pass base addresses into IR
-    kernels and by diagnostics to attribute cache traffic. *)
+    kernels. *)
 
 val words_per_line : int
 (** 8: cache line size (64 B) divided by word size (8 B). *)
@@ -40,15 +40,3 @@ val set : t -> int -> int -> unit
 
 val blit_array : t -> region -> int array -> unit
 (** Copy an OCaml array into a region (must fit). *)
-
-val read_array : t -> region -> int array
-(** Copy a region out into a fresh array. *)
-
-val line_of_addr : int -> int
-(** Cache line index of a word address. *)
-
-val regions : t -> region list
-(** All allocations, in allocation order. *)
-
-val find_region : t -> int -> region option
-(** Region containing a word address, if any. *)

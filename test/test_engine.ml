@@ -82,9 +82,11 @@ type run = {
   lbr : (int * (int * int * int) list) list;
   delinquent : (int * int) list;
   misses : int;
+  memory : int array;  (* the data region after the run *)
 }
 
-let run_with ~engine ?config ?(sample = false) f =
+(* [args] follow the data region's base address. *)
+let run_with ~engine ?config ?(sample = false) ?(args = [ 7 ]) f =
   let mem, base = fresh_mem () in
   let sampler =
     if sample then
@@ -92,7 +94,9 @@ let run_with ~engine ?config ?(sample = false) f =
     else None
   in
   let outcome, failure =
-    match Machine.execute ?config ~engine ?sampler ~args:[ base; 7 ] ~mem f with
+    match
+      Machine.execute ?config ~engine ?sampler ~args:(base :: args) ~mem f
+    with
     | o ->
       ( Some
           ( o.Machine.cycles,
@@ -120,7 +124,8 @@ let run_with ~engine ?config ?(sample = false) f =
         Sampler.delinquent_loads s,
         Sampler.miss_samples s )
   in
-  { outcome; failure; lbr; delinquent; misses }
+  let memory = Array.init 2048 (fun i -> Memory.get mem (base + i)) in
+  { outcome; failure; lbr; delinquent; misses; memory }
 
 let check_identical what runs =
   match runs with
@@ -135,12 +140,13 @@ let check_identical what runs =
         Alcotest.(check bool)
           (ctx ^ " delinquent") true
           (r0.delinquent = r.delinquent);
-        Alcotest.(check int) (ctx ^ " misses") r0.misses r.misses)
+        Alcotest.(check int) (ctx ^ " misses") r0.misses r.misses;
+        Alcotest.(check bool) (ctx ^ " memory") true (r0.memory = r.memory))
       rest
 
-let all_engines ?config ?sample f =
+let all_engines ?config ?sample ?args f =
   List.map
-    (fun (name, engine) -> (name, run_with ~engine ?config ?sample f))
+    (fun (name, engine) -> (name, run_with ~engine ?config ?sample ?args f))
     engines
 
 (* ---------------- pinned parity tests ---------------- *)
@@ -154,13 +160,6 @@ let test_long_run_parity () =
 let test_sampler_parity () =
   let f = branchy_kernel ~n:1500 ~stride:29 ~with_prefetch:false ~with_store:false () in
   check_identical "sampler" (all_engines ~sample:true f)
-
-let test_stall_on_use_parity () =
-  let f = branchy_kernel ~n:1200 ~stride:13 ~with_prefetch:true ~with_store:true () in
-  check_identical "stall-on-use"
-    (all_engines ~config:(Machine.stall_on_use_config ()) f);
-  check_identical "stall-on-use sampled"
-    (all_engines ~config:(Machine.stall_on_use_config ()) ~sample:true f)
 
 let test_fuse_parity () =
   let f = branchy_kernel ~n:100_000 ~stride:7 ~with_prefetch:false ~with_store:false () in
@@ -181,25 +180,18 @@ let test_fuse_parity () =
 
 let test_deadline_parity () =
   let f = branchy_kernel ~n:100_000 ~stride:3 ~with_prefetch:true ~with_store:false () in
+  let config = { Machine.default_config with Machine.max_cycles = 50_000 } in
+  let runs = all_engines ~config f in
+  check_identical "deadline" runs;
   List.iter
-    (fun core ->
-      let config =
-        match core with
-        | `Blocking -> { Machine.default_config with Machine.max_cycles = 50_000 }
-        | `Sou -> { (Machine.stall_on_use_config ()) with Machine.max_cycles = 50_000 }
-      in
-      let runs = all_engines ~config f in
-      check_identical "deadline" runs;
-      List.iter
-        (fun (_, r) ->
-          match r.failure with
-          | Some s ->
-            Alcotest.(check bool)
-              "deadline failure shape" true
-              (String.length s >= 14 && String.sub s 0 14 = "Deadline_blown")
-          | None -> Alcotest.fail "expected Deadline_blown")
-        runs)
-    [ `Blocking; `Sou ]
+    (fun (_, r) ->
+      match r.failure with
+      | Some s ->
+        Alcotest.(check bool)
+          "deadline failure shape" true
+          (String.length s >= 14 && String.sub s 0 14 = "Deadline_blown")
+      | None -> Alcotest.fail "expected Deadline_blown")
+    runs
 
 (* The watchdog's cycle budget is enforced through the same machine
    fuse; its [t_spent] must name the same cycle under every engine. *)
@@ -289,6 +281,76 @@ let prop_mutated_programs =
       | [] -> true
       | (_, r0) :: rest -> List.for_all (fun (_, r) -> r = r0) rest)
 
+(* ---------------- property: every ALU opcode and shape ---------------- *)
+
+let binops = Ir.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ]
+let cmp_ops = Ir.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
+(* One straight-line block over params (base, x, y): every binop and
+   compare in all four operand shapes, where the immediates carry the
+   same values [a] and [b] that x and y are bound to. All results are
+   computed first, so the compiled engine batches them into one ALU
+   run when unsampled, then stored at base + k, four slots per op in
+   shape order Reg/Reg, Reg/Imm, Imm/Reg, Imm/Imm. *)
+let alu_kernel a b =
+  let bld = Builder.create ~name:"alu" ~nparams:3 in
+  let base, x, y =
+    match Builder.params bld with
+    | [ p; q; r ] -> (p, q, r)
+    | _ -> assert false
+  in
+  let shapes =
+    [ (x, y); (x, Ir.Imm b); (Ir.Imm a, y); (Ir.Imm a, Ir.Imm b) ]
+  in
+  let results =
+    List.concat_map
+      (fun op -> List.map (fun (l, r) -> Builder.binop bld op l r) shapes)
+      binops
+    @ List.concat_map
+        (fun op -> List.map (fun (l, r) -> Builder.cmp bld op l r) shapes)
+        cmp_ops
+  in
+  List.iteri
+    (fun k v ->
+      Builder.store bld ~addr:(Builder.add bld base (Ir.Imm k)) ~value:v)
+    results;
+  Builder.ret bld None;
+  let f = Builder.finish bld in
+  Verify.check_exn f;
+  f
+
+(* Zero divisors, negatives, shift counts at and past the 62-bit mask,
+   and the extremes, mixed with arbitrary ints. *)
+let alu_value =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ 0; 1; -1; 2; -7; 61; 62; 63; 64; 127; max_int; min_int ];
+          int_range 62 200;
+          int_range (-1000) 1000;
+          int;
+        ])
+
+let prop_alu_shapes =
+  QCheck.Test.make ~name:"engines agree on every ALU opcode and operand shape"
+    ~count:100 (QCheck.pair alu_value alu_value) (fun (a, b) ->
+      let f = alu_kernel a b in
+      List.for_all
+        (fun sample ->
+          match all_engines ~sample ~args:[ a; b ] f with
+          | [] -> true
+          | (_, r0) :: rest ->
+            let nops = List.length binops + List.length cmp_ops in
+            (* The four shapes of one op compute the same value. *)
+            List.for_all
+              (fun op ->
+                let v k = r0.memory.((op * 4) + k) in
+                v 1 = v 0 && v 2 = v 0 && v 3 = v 0)
+              (List.init nops Fun.id)
+            && List.for_all (fun (_, r) -> r = r0) rest)
+        [ false; true ])
+
 let () =
   Alcotest.run "engine"
     [
@@ -296,12 +358,11 @@ let () =
         [
           Alcotest.test_case "long-run parity" `Quick test_long_run_parity;
           Alcotest.test_case "sampler parity" `Quick test_sampler_parity;
-          Alcotest.test_case "stall-on-use parity" `Quick
-            test_stall_on_use_parity;
           Alcotest.test_case "fuse parity" `Quick test_fuse_parity;
           Alcotest.test_case "deadline parity" `Quick test_deadline_parity;
           Alcotest.test_case "watchdog parity" `Quick test_watchdog_parity;
           Alcotest.test_case "APTGET_ENGINE validation" `Quick test_env_engine;
           QCheck_alcotest.to_alcotest prop_mutated_programs;
+          QCheck_alcotest.to_alcotest prop_alu_shapes;
         ] );
     ]

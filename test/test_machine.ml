@@ -352,6 +352,26 @@ let test_stall_on_use_window_bounds_overlap () =
     (Printf.sprintf "wider window is faster (%d vs %d)" wide narrow)
     true (wide < narrow)
 
+(* The cycle deadline holds on the stall-on-use core too: a limit at
+   half the full run's cycles must stop it with that limit as payload. *)
+let test_stall_on_use_deadline () =
+  let f = gather_f () in
+  let config = Machine.stall_on_use_config () in
+  let full =
+    let mem, args = gather_mem () in
+    (Machine.execute ~config ~args ~mem f).Machine.cycles
+  in
+  let limit = full / 2 in
+  let mem, args = gather_mem () in
+  let config = { config with Machine.max_cycles = limit } in
+  match Machine.execute ~config ~args ~mem f with
+  | _ -> Alcotest.fail "expected Deadline_blown"
+  | exception Machine.Deadline_blown { cycles; limit = l } ->
+    Alcotest.(check int) "limit in payload" limit l;
+    Alcotest.(check bool)
+      (Printf.sprintf "blown past the limit (%d > %d)" cycles limit)
+      true (cycles > limit && cycles < full)
+
 let test_metrics () =
   let o =
     {
@@ -475,6 +495,8 @@ let () =
             test_stall_on_use_serialises_dependent_chain;
           Alcotest.test_case "window bounds overlap" `Quick
             test_stall_on_use_window_bounds_overlap;
+          Alcotest.test_case "raises Deadline_blown past max_cycles"
+            `Quick test_stall_on_use_deadline;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_random_arith_matches_host ] );

@@ -1,5 +1,9 @@
 module Memory = Aptget_mem.Memory
 
+(* Copy a region out through the public accessor. *)
+let read_region m (r : Memory.region) =
+  Array.init r.Memory.words (fun i -> Memory.get m (r.Memory.base + i))
+
 let test_alloc_aligned () =
   let m = Memory.create () in
   let a = Memory.alloc m ~name:"a" ~words:3 in
@@ -41,7 +45,7 @@ let test_blit_read_roundtrip () =
   let r = Memory.alloc m ~name:"r" ~words:8 in
   let data = [| 1; 2; 3; 4; 5; 6; 7; 8 |] in
   Memory.blit_array m r data;
-  Alcotest.(check (array int)) "roundtrip" data (Memory.read_array m r)
+  Alcotest.(check (array int)) "roundtrip" data (read_region m r)
 
 let test_blit_too_large () =
   let m = Memory.create () in
@@ -54,21 +58,6 @@ let test_growth () =
   let r = Memory.alloc m ~name:"big" ~words:10_000 in
   Memory.set m (r.Memory.base + 9_999) 7;
   Alcotest.(check int) "grown" 7 (Memory.get m (r.Memory.base + 9_999))
-
-let test_regions () =
-  let m = Memory.create () in
-  let _ = Memory.alloc m ~name:"a" ~words:8 in
-  let b = Memory.alloc m ~name:"b" ~words:8 in
-  Alcotest.(check (list string)) "order" [ "a"; "b" ]
-    (List.map (fun (r : Memory.region) -> r.Memory.name) (Memory.regions m));
-  (match Memory.find_region m (b.Memory.base + 3) with
-  | Some r -> Alcotest.(check string) "found" "b" r.Memory.name
-  | None -> Alcotest.fail "region not found");
-  Alcotest.(check bool) "miss" true (Memory.find_region m 1_000_000 = None)
-
-let test_line_of_addr () =
-  Alcotest.(check int) "line 0" 0 (Memory.line_of_addr 7);
-  Alcotest.(check int) "line 1" 1 (Memory.line_of_addr 8)
 
 (* Region-edge accesses: the last allocated word is the edge of the
    bounds check ([next]), so get/set must work at [base + words - 1]
@@ -103,7 +92,7 @@ let test_region_edges () =
   Memory.blit_array m r full;
   Alcotest.(check int) "blit reaches last word" (100 + r.Memory.words - 1)
     (Memory.get m last);
-  Alcotest.(check (array int)) "blit roundtrip" full (Memory.read_array m r);
+  Alcotest.(check (array int)) "blit roundtrip" full (read_region m r);
   Alcotest.check_raises "blit overflow"
     (Invalid_argument "Memory.blit_array: too large") (fun () ->
       Memory.blit_array m r (Array.make (r.Memory.words + 1) 0));
@@ -148,7 +137,7 @@ let prop_matches_array_model =
       Array.init n (Memory.get m) = model
       && List.for_all
            (fun (r : Memory.region) ->
-             Memory.read_array m r = Array.sub model r.Memory.base r.Memory.words)
+             read_region m r = Array.sub model r.Memory.base r.Memory.words)
            regions)
 
 let prop_alloc_disjoint =
@@ -183,8 +172,6 @@ let () =
           Alcotest.test_case "blit roundtrip" `Quick test_blit_read_roundtrip;
           Alcotest.test_case "blit too large" `Quick test_blit_too_large;
           Alcotest.test_case "growth" `Quick test_growth;
-          Alcotest.test_case "regions" `Quick test_regions;
-          Alcotest.test_case "line of addr" `Quick test_line_of_addr;
           Alcotest.test_case "region edges" `Quick test_region_edges;
         ] );
       ( "properties",
