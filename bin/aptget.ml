@@ -242,39 +242,9 @@ let workload_conv =
 let workload_arg =
   Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
 
-let print_outcome label (m : Pipeline.measurement) =
-  Printf.printf
-    "%-10s cycles=%-12d instrs=%-10d IPC=%.3f MPKI=%.2f mem-stall=%s \
-     prefetches=%d verified=%s\n"
-    label m.Pipeline.outcome.Machine.cycles
-    m.Pipeline.outcome.Machine.instructions
-    (Machine.ipc m.Pipeline.outcome)
-    (Machine.mpki m.Pipeline.outcome)
-    (Table.fmt_pct (Machine.memory_stall_fraction m.Pipeline.outcome))
-    m.Pipeline.outcome.Machine.dyn_prefetches
-    (match m.Pipeline.verified with Ok () -> "ok" | Error e -> "FAILED: " ^ e)
+let print_outcome label m = print_string (Pipeline.outcome_line label m)
 
 let run_cmd =
-  let load_hints ~lenient path =
-    if lenient then begin
-      match Aptget_profile.Hints_file.load_lenient ~path with
-      | Ok (hints, errors) ->
-        List.iter
-          (fun (lineno, e) ->
-            Printf.eprintf "%s:%d: skipped: %s\n" path lineno e)
-          errors;
-        hints
-      | Error e ->
-        Printf.eprintf "cannot load hints from %s: %s\n" path e;
-        exit 1
-    end
-    else
-      match Aptget_profile.Hints_file.load ~path with
-      | Ok hints -> hints
-      | Error e ->
-        Printf.eprintf "cannot load hints from %s: %s\n" path e;
-        exit 1
-  in
   let load_doc ~lenient path =
     if lenient then begin
       match Hints_file.load_doc_lenient ~path with
@@ -349,34 +319,13 @@ let run_cmd =
       | None ->
         die "bad --corun-policy value: %s (rr | ratio:W0,W1,...)" policy
     in
-    let meas label (inst : Workload.instance) (o : Machine.outcome) =
-      {
-        Pipeline.workload = label;
-        outcome = o;
-        verified = inst.Workload.verify inst.Workload.mem o.Machine.ret;
-        injected = [];
-        skipped = [];
-        wall_seconds = 0.0;
-      }
-    in
-    (* Tenant stream first, co-runner second; both semantically
-       verified — cache sharing must never change results. *)
-    let corun (ti : Workload.instance) =
-      let ci = co.Workload.build () in
-      let outs =
-        Corun.run ~policy
-          [
-            Corun.stream ~args:ti.Workload.args ~name:w.Workload.name
-              ~mem:ti.Workload.mem ti.Workload.func;
-            Corun.stream ~args:ci.Workload.args ~name:co.Workload.name
-              ~mem:ci.Workload.mem ci.Workload.func;
-          ]
-      in
-      match outs with
-      | [ t; c ] ->
-        ( meas w.Workload.name ti t.Corun.so_outcome,
-          meas co.Workload.name ci c.Corun.so_outcome )
-      | _ -> assert false
+    let corun transform =
+      Aptget_obs.Trace.with_span ~name:"pipeline.corun"
+        ~attrs:[ ("workload", w.Workload.name) ]
+      @@ fun () ->
+      Pipeline.corun ~policy ~label:w.Workload.name
+        (Pipeline.prepare w transform)
+        co
     in
     Printf.printf "co-runner %s (%s on %s), policy %s\n\n" co.Workload.name
       co.Workload.app co.Workload.input
@@ -388,15 +337,11 @@ let run_cmd =
     print_fault_stats prof.Profiler.fault_stats;
     let solo_apt = Pipeline.with_hints ~hints:prof.Profiler.hints w in
     print_outcome "solo APT" solo_apt;
-    let cr_base, cr_corunner = corun (w.Workload.build ()) in
+    let cr_base, cr_corunner = corun Pipeline.unmodified in
     print_outcome "corun base" cr_base;
-    let hinted =
-      let inst = w.Workload.build () in
-      ignore (Aptget_pass.run inst.Workload.func ~hints:prof.Profiler.hints);
-      Aptget_ir.Verify.check_exn inst.Workload.func;
-      inst
+    let cr_apt, cr_apt_corunner =
+      corun (Pipeline.inject_hints prof.Profiler.hints)
     in
-    let cr_apt, cr_apt_corunner = corun hinted in
     print_outcome "corun APT" cr_apt;
     print_outcome "co-runner" cr_corunner;
     Printf.printf
@@ -516,7 +461,11 @@ let run_cmd =
         Result.is_error final_verified
       end
       else
-      let file_hints = Option.map (load_hints ~lenient) hints_path in
+      let file_hints =
+        Option.map
+          (fun path -> Hints_file.hints_of_doc (load_doc ~lenient path))
+          hints_path
+      in
       if robust then begin
         let r = Pipeline.run_robust ~faults ?hints:file_hints w in
         match r.Pipeline.r_measurement with
@@ -793,26 +742,21 @@ let profile_cmd =
 
 let show_ir_cmd =
   let show w inject =
-    let inst = w.Workload.build () in
-    if inject then begin
-      let prof =
-        Profiler.profile ~args:inst.Workload.args ~mem:inst.Workload.mem
-          inst.Workload.func
-      in
-      let inst2 = w.Workload.build () in
-      let r = Aptget_pass.run inst2.Workload.func ~hints:prof.Profiler.hints in
-      Printf.printf "%s\n" (Printer.func_to_string inst2.Workload.func);
-      List.iter
-        (fun (i : Inject.injected) ->
-          Printf.printf
-            "; injected prefetch for load PC %d: distance %d, %s site, %d \
-             cloned instructions\n"
-            i.Inject.spec.Inject.load_pc i.Inject.spec.Inject.distance
-            (Inject.site_to_string i.Inject.spec.Inject.site)
-            i.Inject.cloned_instrs)
-        r.Aptget_pass.injected
-    end
-    else Printf.printf "%s\n" (Printer.func_to_string inst.Workload.func)
+    let inst, injected, _ =
+      Pipeline.prepare w
+        (if inject then Pipeline.inject_hints (Pipeline.profile w).Profiler.hints
+         else Pipeline.unmodified)
+    in
+    Printf.printf "%s\n" (Printer.func_to_string inst.Workload.func);
+    List.iter
+      (fun (i : Inject.injected) ->
+        Printf.printf
+          "; injected prefetch for load PC %d: distance %d, %s site, %d \
+           cloned instructions\n"
+          i.Inject.spec.Inject.load_pc i.Inject.spec.Inject.distance
+          (Inject.site_to_string i.Inject.spec.Inject.site)
+          i.Inject.cloned_instrs)
+      injected
   in
   let inject_flag =
     Arg.(value & flag & info [ "inject" ] ~doc:"Show the IR after APT-GET injection")

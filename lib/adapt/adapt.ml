@@ -36,6 +36,58 @@ let default_config =
     machine = Machine.default_config;
   }
 
+type epoch = {
+  e_measurement : Pipeline.measurement;
+  e_windows : Machine.window_report list;  (** in execution order *)
+  e_refit : Profiler.t option;
+  e_hints_dropped : (Aptget_pass.hint * string) list;
+}
+
+let run_epoch ?config ?watchdog ?crash ?(options = Profiler.default_options)
+    ?sampler ?window_cycles ?veto ~hints (w : Workload.t) =
+  Trace.with_span ~name:"pipeline.run-adaptive"
+    ~attrs:[ ("workload", w.Workload.name) ]
+  @@ fun () ->
+  let hints_dropped = ref [] in
+  (* An empty (or fully stale) hint list takes the injection pass's
+     Algorithm-2 static fallback — the bottom rung of the degradation
+     ladder runs A&J's fixed distance, not an unprefetched kernel. *)
+  let ((inst, _, _) as prepared) =
+    Pipeline.prepare w (fun inst ->
+        let used, dropped = Profiler.validate_hints inst.Workload.func hints in
+        hints_dropped := dropped;
+        Pipeline.inject_hints ?veto used inst)
+  in
+  Option.iter (fun s -> Sampler.reset s) sampler;
+  let windows = ref [] in
+  let on_window =
+    Option.map (fun _ wr -> windows := wr :: !windows) window_cycles
+  in
+  let m =
+    Pipeline.measure ?config ?watchdog ?crash ?sampler ?window_cycles
+      ?on_window ~label:w.Workload.name prepared
+  in
+  let refit =
+    match sampler with
+    | None -> None
+    | Some s -> (
+      (* The re-fit analyses the *rewritten* kernel the sampler just
+         observed; its hint PCs must travel through the remap path to
+         reach a fresh build. An analysis failure means re-profiling is
+         unavailable this epoch, not that the epoch failed. *)
+      try
+        Some
+          (Profiler.refit ~options ~baseline:m.Pipeline.outcome s
+             inst.Workload.func)
+      with e when not (Crash.is_crashed e) -> None)
+  in
+  {
+    e_measurement = m;
+    e_windows = List.rev !windows;
+    e_refit = refit;
+    e_hints_dropped = !hints_dropped;
+  }
+
 (* The plan is what the loop currently stands behind for the next
    epoch. [Hinted] and [Pinned] both carry the hints-file document they
    came from, so a later retune can re-admit it through the remap path;
@@ -90,7 +142,7 @@ type segment_result = {
   s_index : int;  (** 1-based position in the segment list *)
   s_workload : string;
   s_plan : string;  (** plan the epoch ran under, rendered *)
-  s_epoch : Pipeline.epoch;
+  s_epoch : epoch;
   s_eval : Drift.epoch_eval;
   s_verdict : Drift.verdict;
   s_action : action;
@@ -172,12 +224,12 @@ let retune cfg ?quarantine ?crash ~plan ~refit w =
           fallback
       | Pipeline.Admitted -> assert false
     in
-    if fallback = "static Ainsworth & Jones injection" then
-      (Aj_static, Aj_fallback g.Pipeline.g_speedup)
-    else
-      let hold = Option.value last_doc ~default:doc in
-      ( Pinned (hold, Hints_file.hints_of_doc hold),
-        Pinned_baseline g.Pipeline.g_speedup )
+    match fallback with
+    | Pipeline.Aj_static -> (Aj_static, Aj_fallback g.Pipeline.g_speedup)
+    | Pipeline.Pinned_baseline ->
+        let hold = Option.value last_doc ~default:doc in
+        ( Pinned (hold, Hints_file.hints_of_doc hold),
+          Pinned_baseline g.Pipeline.g_speedup )
   in
   try
     let attempts =
@@ -254,21 +306,21 @@ let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
       let plan_used = plan_to_string !plan in
       Drift.begin_epoch det;
       let epoch =
-        Pipeline.run_adaptive ~config:cfg.machine ~watchdog:cfg.watchdog
+        run_epoch ~config:cfg.machine ~watchdog:cfg.watchdog
           ?crash ~options:cfg.options ~sampler
           ~window_cycles:cfg.window_cycles ?veto ~hints:hints_arg w
       in
-      (match epoch.Pipeline.e_measurement.Pipeline.verified with
+      (match epoch.e_measurement.Pipeline.verified with
       | Ok () -> ()
       | Error e ->
           failwith
             (Printf.sprintf "adapt: segment %s failed verification: %s"
                w.Workload.name e));
-      List.iter (Drift.observe_window det) epoch.Pipeline.e_windows;
-      let iter_med = Option.bind epoch.Pipeline.e_refit iter_median in
+      List.iter (Drift.observe_window det) epoch.e_windows;
+      let iter_med = Option.bind epoch.e_refit iter_median in
       let stale =
         match !plan with
-        | Hinted _ -> epoch.Pipeline.e_hints_dropped <> []
+        | Hinted _ -> epoch.e_hints_dropped <> []
         | _ -> false
       in
       let verdict, eval =
@@ -277,7 +329,7 @@ let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
       let epoch_reference =
         {
           Drift.ref_mpki =
-            Machine.mpki epoch.Pipeline.e_measurement.Pipeline.outcome;
+            Machine.mpki epoch.e_measurement.Pipeline.outcome;
           ref_iter = iter_med;
         }
       in
@@ -291,7 +343,7 @@ let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
             | Breaker.Run | Breaker.Probe ->
                 let plan', act, cycles, final =
                   retune cfg ?quarantine ?crash ~plan:!plan
-                    ~refit:epoch.Pipeline.e_refit w
+                    ~refit:epoch.e_refit w
                 in
                 Breaker.record breaker ~ok:(retune_ok act);
                 plan := plan';
@@ -336,7 +388,7 @@ let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
           s_verdict = verdict;
           s_action = action;
           s_cycles =
-            epoch.Pipeline.e_measurement.Pipeline.outcome.Machine.cycles;
+            epoch.e_measurement.Pipeline.outcome.Machine.cycles;
           s_retune_cycles = retune_cycles;
         }
       in

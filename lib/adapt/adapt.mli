@@ -1,6 +1,6 @@
 (** Online re-optimization: notice an aging profile and retune mid-run.
 
-    The loop drives one {!Aptget_core.Pipeline.run_adaptive} epoch per
+    The loop drives one {!run_epoch} per
     program segment (phase): the hinted program runs while the PMU
     sampler re-profiles it {e inside the simulator} and the cache
     hierarchy streams counter-delta windows. The {!Drift} detector
@@ -43,6 +43,46 @@ type config = {
 
 val default_config : config
 
+type epoch = {
+  e_measurement : Aptget_core.Pipeline.measurement;
+      (** the hinted run of this segment *)
+  e_windows : Aptget_machine.Machine.window_report list;
+      (** periodic counter-delta windows, in execution order; empty
+          when windowing was off *)
+  e_refit : Aptget_profile.Profiler.t option;
+      (** incremental Eq. 1 re-fit from the concurrent sampler's
+          observations of the {e rewritten} kernel ([None] when no
+          sampler rode along or the analysis failed). Its hint PCs
+          address the rewritten program: route them through the remap
+          path ({!Aptget_core.Pipeline.run_guarded} with [remap]) to
+          reach a fresh build. *)
+  e_hints_dropped : (Aptget_passes.Aptget_pass.hint * string) list;
+      (** stale hints rejected before injection, with reasons *)
+}
+
+val run_epoch :
+  ?config:Aptget_machine.Machine.config ->
+  ?watchdog:Aptget_core.Watchdog.config ->
+  ?crash:Aptget_store.Crash.t ->
+  ?options:Aptget_profile.Profiler.options ->
+  ?sampler:Aptget_pmu.Sampler.t ->
+  ?window_cycles:int ->
+  ?veto:(Aptget_passes.Aptget_pass.hint -> string option) ->
+  hints:Aptget_passes.Aptget_pass.hint list ->
+  Aptget_workloads.Workload.t ->
+  epoch
+(** One segment's supervised hinted run: {!Aptget_core.Pipeline.prepare}
+    a fresh instance with [hints] validated and injected (an empty or
+    fully-stale list falls back to A&J static injection, the ladder's
+    bottom rung; a non-empty list fully suppressed by [veto] runs
+    unmodified, which is how a pinned plan holds hints without applying
+    them), then {!Aptget_core.Pipeline.measure} it with [sampler]
+    riding along (reset first, keeping its fault model's state) and
+    [window_cycles]-sized counter windows collected. Deterministic.
+    Raises {!Aptget_core.Watchdog.Timed_out} when the measure budget
+    fires and {!Aptget_store.Crash.Crashed} when an armed crash plan
+    does. *)
+
 type plan =
   | Hinted of Aptget_profile.Hints_file.doc * Aptget_passes.Aptget_pass.hint list
   | Aj_static
@@ -73,7 +113,7 @@ type segment_result = {
   s_index : int;
   s_workload : string;
   s_plan : string;
-  s_epoch : Aptget_core.Pipeline.epoch;
+  s_epoch : epoch;
   s_eval : Drift.epoch_eval;
   s_verdict : Drift.verdict;
   s_action : action;

@@ -1,4 +1,3 @@
-module Machine = Aptget_machine.Machine
 module Workload = Aptget_workloads.Workload
 module Faults = Aptget_pmu.Faults
 module Crash = Aptget_store.Crash
@@ -197,10 +196,9 @@ let run_group ~config ~mconfig ~crash ~append ~done_tbl ~runner wname
     | Some b -> Ok b
     | None -> (
       match
-        Watchdog.run ~config:config.watchdog ?crash
-          ~machine:(Option.value mconfig ~default:Machine.default_config)
-          Watchdog.Measure
-          (fun capped -> Pipeline.baseline ~config:capped w)
+        Pipeline.measure ?config:mconfig ~watchdog:config.watchdog ?crash
+          ~label:w.Workload.name
+          (Pipeline.prepare w Pipeline.unmodified)
       with
       | m ->
         baseline := Some m;

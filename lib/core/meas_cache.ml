@@ -88,8 +88,6 @@ let render (k : key) (m : Pipeline.measurement) =
   List.iter
     (fun (pc, why) -> line "skip %d %s" pc (String.escaped why))
     m.Pipeline.skipped;
-  (* %h round-trips the float exactly through [float_of_string]. *)
-  line "wall %h" m.Pipeline.wall_seconds;
   let body = Buffer.contents b in
   body ^ Printf.sprintf "crc %s\n" (Crc32.hex (Crc32.string body))
 
@@ -125,7 +123,7 @@ let parse (k : key) (text : string) : Pipeline.measurement option =
     | _ -> raise Bad);
     let lines = String.split_on_char '\n' (String.trim body) in
     let workload = ref "" and outcome = ref None and counters = ref None in
-    let verified = ref None and wall = ref None in
+    let verified = ref None in
     let injected = ref [] and skipped = ref [] in
     List.iteri
       (fun i line ->
@@ -204,12 +202,13 @@ let parse (k : key) (text : string) : Pipeline.measurement option =
           | "skip", payload -> (
             match cut payload with
             | pc, why -> skipped := (int_of_string pc, unescape why) :: !skipped)
-          | "wall", payload -> wall := Some (float_of_string payload)
+          (* Unknown lines, including the "wall" line of records written
+             before that field was dropped, make the record a miss. *)
           | _ -> raise Bad)
       lines;
-    match (!outcome, !counters, !verified, !wall) with
+    match (!outcome, !counters, !verified) with
     | Some (cycles, instructions, dyn_loads, dyn_prefetches, ret), Some c,
-      Some verified, Some wall_seconds ->
+      Some verified ->
       Some
         {
           Pipeline.workload = !workload;
@@ -225,7 +224,6 @@ let parse (k : key) (text : string) : Pipeline.measurement option =
           verified;
           injected = List.rev !injected;
           skipped = List.rev !skipped;
-          wall_seconds;
         }
     | _ -> raise Bad
   with _ -> None

@@ -5,7 +5,7 @@ module Aj = Aptget_passes.Aj
 module Aptget_pass = Aptget_passes.Aptget_pass
 module Inject = Aptget_passes.Inject
 module Faults = Aptget_pmu.Faults
-module Clock = Aptget_util.Clock
+module Corun = Aptget_machine.Corun
 module Crash = Aptget_store.Crash
 module Trace = Aptget_obs.Trace
 module Metrics = Aptget_obs.Metrics
@@ -16,7 +16,6 @@ type measurement = {
   verified : (unit, string) result;
   injected : Inject.injected list;
   skipped : (int * string) list;
-  wall_seconds : float;
 }
 
 let verified_exn m =
@@ -36,44 +35,106 @@ let mpki_reduction ~baseline m =
   let b = Machine.mpki baseline.outcome in
   if b = 0. then 0. else 1. -. (Machine.mpki m.outcome /. b)
 
-let wall = Clock.wall
+let outcome_line label m =
+  Printf.sprintf
+    "%-10s cycles=%-12d instrs=%-10d IPC=%.3f MPKI=%.2f mem-stall=%s \
+     prefetches=%d verified=%s\n"
+    label m.outcome.Machine.cycles m.outcome.Machine.instructions
+    (Machine.ipc m.outcome) (Machine.mpki m.outcome)
+    (Aptget_util.Table.fmt_pct (Machine.memory_stall_fraction m.outcome))
+    m.outcome.Machine.dyn_prefetches
+    (match m.verified with Ok () -> "ok" | Error e -> "FAILED: " ^ e)
 
-let run_transformed ?config (w : Workload.t) transform =
+(* ------------------------------------------------------------------ *)
+(* The arm recipe: every simulated run is built and checked by         *)
+(* [prepare], then run and verified by [measure] (solo) or [corun]     *)
+(* (against a co-runner on the shared LLC).                            *)
+(* ------------------------------------------------------------------ *)
+
+type transform =
+  Workload.instance -> Inject.injected list * (int * string) list
+
+type prepared = Workload.instance * Inject.injected list * (int * string) list
+
+let unmodified : transform = fun _ -> ([], [])
+
+let inject_hints ?(cse = false) ?veto hints : transform =
+ fun inst ->
+  let r = Aptget_pass.run ?veto inst.Workload.func ~hints in
+  if cse then ignore (Aptget_passes.Cse.run inst.Workload.func);
+  (r.Aptget_pass.injected, r.Aptget_pass.skipped)
+
+let prepare (w : Workload.t) (transform : transform) : prepared =
+  let inst =
+    Trace.with_span ~name:"stage.build" (fun () -> w.Workload.build ())
+  in
+  let injected, skipped =
+    Trace.with_span ~name:"stage.inject" (fun () -> transform inst)
+  in
+  Trace.with_span ~name:"stage.verify-ir" (fun () ->
+      Verify.check_exn inst.Workload.func);
+  (inst, injected, skipped)
+
+let measured ~label ((inst, injected, skipped) : prepared) outcome =
+  let verified =
+    Trace.with_span ~name:"stage.semantic-verify" (fun () ->
+        inst.Workload.verify inst.Workload.mem outcome.Machine.ret)
+  in
+  { workload = label; outcome; verified; injected; skipped }
+
+let measure ?(config = Machine.default_config) ?watchdog ?crash ?sampler
+    ?window_cycles ?on_window ~label ((inst, _, _) as prepared : prepared) =
+  let outcome =
+    Trace.with_span ~name:"stage.measure" @@ fun () ->
+    let o =
+      Watchdog.run ?config:watchdog ?crash ~machine:config Watchdog.Measure
+        (fun capped ->
+          Machine.execute ~config:capped ?sampler ?window_cycles ?on_window
+            ~args:inst.Workload.args ~mem:inst.Workload.mem inst.Workload.func)
+    in
+    Trace.set_cycles o.Machine.cycles;
+    o
+  in
+  measured ~label prepared outcome
+
+let corun ?config ?policy ?sampler ?window_cycles ?on_window ~label
+    ((inst, _, _) as prepared : prepared) (co : Workload.t) =
+  let ci =
+    Trace.with_span ~name:"stage.build" (fun () -> co.Workload.build ())
+  in
+  (* Tenant stream first, co-runner second. *)
+  let tenant_o, co_o =
+    Trace.with_span ~name:"stage.measure" @@ fun () ->
+    match
+      Corun.run ?config ?policy
+        [
+          Corun.stream ?sampler ?window_cycles ?on_window
+            ~args:inst.Workload.args ~name:label ~mem:inst.Workload.mem
+            inst.Workload.func;
+          Corun.stream ~args:ci.Workload.args ~name:co.Workload.name
+            ~mem:ci.Workload.mem ci.Workload.func;
+        ]
+    with
+    | [ t; c ] ->
+      Trace.set_cycles t.Corun.so_outcome.Machine.cycles;
+      (t.Corun.so_outcome, c.Corun.so_outcome)
+    | _ -> assert false
+  in
+  ( measured ~label prepared tenant_o,
+    measured ~label:co.Workload.name (ci, [], []) co_o )
+
+let run_transformed ?config ?watchdog ?crash (w : Workload.t) transform =
   Trace.with_span ~name:"pipeline.run" ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
-  let (outcome, verified, injected, skipped), wall_seconds =
-    wall (fun () ->
-        let inst =
-          Trace.with_span ~name:"stage.build" (fun () -> w.Workload.build ())
-        in
-        let injected, skipped =
-          Trace.with_span ~name:"stage.inject" (fun () -> transform inst)
-        in
-        Trace.with_span ~name:"stage.verify-ir" (fun () ->
-            Verify.check_exn inst.Workload.func);
-        let outcome =
-          Trace.with_span ~name:"stage.measure" (fun () ->
-              let o =
-                Machine.execute ?config ~args:inst.Workload.args
-                  ~mem:inst.Workload.mem inst.Workload.func
-              in
-              Trace.set_cycles o.Machine.cycles;
-              o)
-        in
-        let verified =
-          Trace.with_span ~name:"stage.semantic-verify" (fun () ->
-              inst.Workload.verify inst.Workload.mem outcome.Machine.ret)
-        in
-        (outcome, verified, injected, skipped))
-  in
-  { workload = w.Workload.name; outcome; verified; injected; skipped; wall_seconds }
+  measure ?config ?watchdog ?crash ~label:w.Workload.name (prepare w transform)
 
-let baseline ?config w = run_transformed ?config w (fun _ -> ([], []))
+let aj_transform ?distance : transform =
+ fun inst ->
+  let r = Aj.run ?distance inst.Workload.func in
+  (r.Aj.injected, r.Aj.skipped)
 
-let aj ?config ?distance w =
-  run_transformed ?config w (fun inst ->
-      let r = Aj.run ?distance inst.Workload.func in
-      (r.Aj.injected, r.Aj.skipped))
+let baseline ?config w = run_transformed ?config w unmodified
+let aj ?config ?distance w = run_transformed ?config w (aj_transform ?distance)
 
 let profile ?options (w : Workload.t) =
   Trace.with_span ~name:"pipeline.profile"
@@ -85,11 +146,8 @@ let profile ?options (w : Workload.t) =
   Profiler.profile ?options ~args:inst.Workload.args ~mem:inst.Workload.mem
     inst.Workload.func
 
-let with_hints ?config ?(cse = false) ?veto ~hints w =
-  run_transformed ?config w (fun inst ->
-      let r = Aptget_pass.run ?veto inst.Workload.func ~hints in
-      if cse then ignore (Aptget_passes.Cse.run inst.Workload.func);
-      (r.Aptget_pass.injected, r.Aptget_pass.skipped))
+let with_hints ?config ?cse ?veto ~hints w =
+  run_transformed ?config w (inject_hints ?cse ?veto hints)
 
 let aptget ?options ?config ?cse w =
   let prof = profile ?options w in
@@ -252,43 +310,23 @@ let run_robust ?(options = Profiler.default_options) ?config
                   "discarding injections; rebuilding the unmodified kernel";
                 (w.Workload.build (), [], []))
           in
-          let run_inst inst injected skipped =
-            let outcome =
-              Trace.with_span ~name:"stage.measure" @@ fun () ->
-              let o =
-                Watchdog.run ?config:watchdog ?crash
-                  ~machine:(Option.value config ~default:Machine.default_config)
-                  Watchdog.Measure
-                  (fun capped ->
-                    Machine.execute ~config:capped ~args:inst.Workload.args
-                      ~mem:inst.Workload.mem inst.Workload.func)
-              in
-              Trace.set_cycles o.Machine.cycles;
-              o
+          let run_inst prepared =
+            let m =
+              measure ?config ?watchdog ?crash ~label:w.Workload.name prepared
             in
-            let verified =
-              inst.Workload.verify inst.Workload.mem outcome.Machine.ret
-            in
-            (match verified with
+            (match m.verified with
             | Ok () -> ()
             | Error e ->
               add "semantic-verify" e "measurement reported as unverified");
-            {
-              workload = w.Workload.name;
-              outcome;
-              verified;
-              injected;
-              skipped;
-              wall_seconds = 0.;
-            }
+            m
           in
           let measurement =
-            match run_inst inst injected skipped with
+            match run_inst (inst, injected, skipped) with
             | m -> Some m
             | exception e when not (Crash.is_crashed e) -> (
               add "run" (cause_of e)
                 "rebuilding and running the unmodified kernel";
-              match run_inst (w.Workload.build ()) [] [] with
+              match run_inst (w.Workload.build (), [], []) with
               | m -> Some m
               | exception e2 when not (Crash.is_crashed e2) ->
                 add "run" (cause_of e2)
@@ -301,22 +339,18 @@ let run_robust ?(options = Profiler.default_options) ?config
      in stages the per-stage handlers above do not anticipate. The one
      exception is a simulated crash, which models the process dying and
      therefore must propagate. *)
-  let result, wall_seconds =
+  let prof, retried, hints_used, hints_dropped, measurement =
     Trace.with_span ~name:"pipeline.run-robust"
       ~attrs:[ ("workload", w.Workload.name) ]
     @@ fun () ->
-    wall (fun () ->
-        try go ()
-        with e when not (Crash.is_crashed e) ->
-          add "pipeline" (cause_of e)
-            "no measurement for this workload";
-          (None, false, [], [], None))
+    try go ()
+    with e when not (Crash.is_crashed e) ->
+      add "pipeline" (cause_of e) "no measurement for this workload";
+      (None, false, [], [], None)
   in
-  let prof, retried, hints_used, hints_dropped, measurement = result in
   {
     r_workload = w.Workload.name;
-    r_measurement =
-      Option.map (fun m -> { m with wall_seconds }) measurement;
+    r_measurement = measurement;
     r_profile = prof;
     r_hints_used = hints_used;
     r_hints_dropped = hints_dropped;
@@ -336,10 +370,16 @@ type guard_config = { floor : float; try_aj : bool }
 
 let default_guard = { floor = 0.98; try_aj = true }
 
+type fallback = Aj_static | Pinned_baseline
+
+let fallback_to_string = function
+  | Aj_static -> "static Ainsworth & Jones injection"
+  | Pinned_baseline -> "baseline (hints vetoed)"
+
 type guard_outcome =
   | Admitted
-  | Quarantined of { speedup : float; fallback : string }
-  | Known_bad of { prior_speedup : float; fallback : string }
+  | Quarantined of { speedup : float; fallback : fallback }
+  | Known_bad of { prior_speedup : float; fallback : fallback }
 
 type guarded = {
   g_workload : string;
@@ -357,21 +397,11 @@ let guard_outcome_to_string = function
   | Admitted -> "admitted"
   | Quarantined q ->
     Printf.sprintf "quarantined (%.3fx < floor); fell back to %s" q.speedup
-      q.fallback
+      (fallback_to_string q.fallback)
   | Known_bad k ->
     Printf.sprintf "known bad (%.3fx on record); fell back to %s"
-      k.prior_speedup k.fallback
-
-(* The baseline-equivalent fallback still goes through the injection
-   pass, vetoing every hint: the measurement is the unmodified kernel
-   (the simulator is deterministic), and the per-hint skip records show
-   exactly what the guard suppressed. An empty candidate would instead
-   trip the pass's Algorithm-2 static fallback, so it shortcuts to the
-   plain baseline run. *)
-let pinned ?config w hints reason =
-  match hints with
-  | [] -> baseline ?config w
-  | _ :: _ -> with_hints ?config ~veto:(fun _ -> Some reason) ~hints w
+      k.prior_speedup
+      (fallback_to_string k.fallback)
 
 let no_measure_cache ~variant f =
   ignore (variant : string);
@@ -399,33 +429,31 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
      process mid-measurement. A baseline or fallback that blows its
      budget has nothing to degrade to, so its Timed_out propagates; a
      candidate that blows its budget is quarantined at 0.0x. *)
-  let mconfig = Option.value config ~default:Machine.default_config in
-  let measure f =
-    Watchdog.run ?config:watchdog ?crash ~machine:mconfig Watchdog.Measure f
-  in
-  let base =
-    measure_cache ~variant:"guard-baseline" (fun () ->
-        measure (fun capped -> baseline ~config:capped w))
-  in
+  let run = run_transformed ?config ?watchdog ?crash w in
+  let base = measure_cache ~variant:"guard-baseline" (fun () -> run unmodified) in
   let program = current.Aptget_ir.Fingerprint.program in
   let hkey = Quarantine.hints_key hints in
   let fall_back ~reason =
-    (* The pinned fallback embeds [reason] in its per-hint skip records,
-       so it is never cached — two different reasons must not alias. *)
+    (* The baseline-equivalent fallback still goes through the injection
+       pass, vetoing every hint: the measurement is the unmodified kernel
+       (the simulator is deterministic), and the per-hint skip records
+       show exactly what the guard suppressed. An empty candidate would
+       instead trip the pass's Algorithm-2 static fallback, so it runs
+       the kernel unmodified. The skip records embed [reason], so this
+       run is never cached — two different reasons must not alias. *)
     let pinned_m () =
-      measure (fun capped -> pinned ~config:capped w hints reason)
+      run
+        (match hints with
+        | [] -> unmodified
+        | _ :: _ -> inject_hints ~veto:(fun _ -> Some reason) hints)
     in
     if guard.try_aj then begin
-      match
-        measure_cache ~variant:"guard-aj" (fun () ->
-            measure (fun capped -> aj ~config:capped w))
-      with
-      | m when speedup ~baseline:base m >= guard.floor ->
-        (m, "static Ainsworth & Jones injection")
-      | _ -> (pinned_m (), "baseline (hints vetoed)")
-      | exception Watchdog.Timed_out _ -> (pinned_m (), "baseline (hints vetoed)")
+      match measure_cache ~variant:"guard-aj" (fun () -> run aj_transform) with
+      | m when speedup ~baseline:base m >= guard.floor -> (m, Aj_static)
+      | _ -> (pinned_m (), Pinned_baseline)
+      | exception Watchdog.Timed_out _ -> (pinned_m (), Pinned_baseline)
     end
-    else (pinned_m (), "baseline (hints vetoed)")
+    else (pinned_m (), Pinned_baseline)
   in
   let known =
     Option.bind quarantine (fun q ->
@@ -459,7 +487,7 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
       match
         measure_cache
           ~variant:("guard-candidate:" ^ Aptget_ir.Fingerprint.hex hkey)
-          (fun () -> measure (fun capped -> with_hints ~config:capped ~hints w))
+          (fun () -> run (inject_hints hints))
       with
       | m ->
         let s = speedup ~baseline:base m in
@@ -502,85 +530,6 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
     g_outcome = outcome;
     g_hints = hints;
     g_remap = remap_result;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive epoch: one supervised hinted run with concurrent           *)
-(* re-sampling and execution windows — the primitive the online loop   *)
-(* (Aptget_adapt) drives once per program phase/segment.               *)
-(* ------------------------------------------------------------------ *)
-
-module Sampler = Aptget_pmu.Sampler
-
-type epoch = {
-  e_measurement : measurement;
-  e_windows : Machine.window_report list;  (** in execution order *)
-  e_refit : Profiler.t option;
-  e_hints_dropped : (Aptget_pass.hint * string) list;
-}
-
-let run_adaptive ?config ?watchdog ?crash ?(options = Profiler.default_options)
-    ?sampler ?window_cycles ?veto ~hints (w : Workload.t) =
-  Trace.with_span ~name:"pipeline.run-adaptive"
-    ~attrs:[ ("workload", w.Workload.name) ]
-  @@ fun () ->
-  let inst = w.Workload.build () in
-  let hints_used, hints_dropped =
-    Profiler.validate_hints inst.Workload.func hints
-  in
-  (* An empty (or fully stale) hint list takes the injection pass's
-     Algorithm-2 static fallback — the bottom rung of the degradation
-     ladder runs A&J's fixed distance, not an unprefetched kernel. *)
-  let r = Aptget_pass.run ?veto inst.Workload.func ~hints:hints_used in
-  Verify.check_exn inst.Workload.func;
-  Option.iter (fun s -> Sampler.reset s) sampler;
-  let windows = ref [] in
-  let on_window =
-    match window_cycles with
-    | Some _ -> Some (fun wr -> windows := wr :: !windows)
-    | None -> None
-  in
-  let mconfig = Option.value config ~default:Machine.default_config in
-  let (outcome, verified), wall_seconds =
-    wall (fun () ->
-        let o =
-          Trace.with_span ~name:"stage.measure" @@ fun () ->
-          let o =
-            Watchdog.run ?config:watchdog ?crash ~machine:mconfig
-              Watchdog.Measure (fun capped ->
-                Machine.execute ~config:capped ?sampler ?window_cycles
-                  ?on_window ~args:inst.Workload.args ~mem:inst.Workload.mem
-                  inst.Workload.func)
-          in
-          Trace.set_cycles o.Machine.cycles;
-          o
-        in
-        (o, inst.Workload.verify inst.Workload.mem o.Machine.ret))
-  in
-  let refit =
-    match sampler with
-    | None -> None
-    | Some s -> (
-      (* The re-fit analyses the *rewritten* kernel the sampler just
-         observed; its hint PCs must travel through the remap path to
-         reach a fresh build. An analysis failure means re-profiling is
-         unavailable this epoch, not that the epoch failed. *)
-      try Some (Profiler.refit ~options ~baseline:outcome s inst.Workload.func)
-      with e when not (Crash.is_crashed e) -> None)
-  in
-  {
-    e_measurement =
-      {
-        workload = w.Workload.name;
-        outcome;
-        verified;
-        injected = r.Aptget_pass.injected;
-        skipped = r.Aptget_pass.skipped;
-        wall_seconds;
-      };
-    e_windows = List.rev !windows;
-    e_refit = refit;
-    e_hints_dropped = hints_dropped;
   }
 
 let force_distance d hints =

@@ -7,10 +7,12 @@
     build workload -> inject (A&J static pass)   -> baseline competitor
     v}
 
-    Every run gets a freshly built workload instance, so measured runs
-    never see a previous run's memory side effects, and every run's
-    semantic verifier is checked — a prefetch pass that breaks the
-    program is reported, not silently timed. *)
+    Every measured arm follows one recipe, so cycle ratios between arms
+    compare like with like: {!prepare} builds a fresh instance (no run
+    sees another's memory side effects), rewrites it and checks the IR;
+    {!measure} runs it alone, or {!corun} against a fresh co-runner, and
+    checks every stream's semantic verifier — a prefetch pass that
+    breaks the program is reported, not silently timed. *)
 
 type measurement = {
   workload : string;
@@ -18,9 +20,6 @@ type measurement = {
   verified : (unit, string) result;
   injected : Aptget_passes.Inject.injected list;
   skipped : (int * string) list;
-  wall_seconds : float;
-      (** elapsed wall-clock seconds spent building + simulating,
-          measured on the monotonic {!Aptget_util.Clock} *)
 }
 
 val verified_exn : measurement -> measurement
@@ -34,6 +33,73 @@ val instruction_overhead : baseline:measurement -> measurement -> float
 
 val mpki_reduction : baseline:measurement -> measurement -> float
 (** 1 - mpki/mpki_baseline (Fig. 7, higher is better). *)
+
+val outcome_line : string -> measurement -> string
+(** One deterministic, newline-terminated report line: [label], cycles,
+    instructions, IPC, MPKI, memory stall, prefetches, verdict. *)
+
+(** {2 The arm recipe} *)
+
+type transform =
+  Aptget_workloads.Workload.instance ->
+  Aptget_passes.Inject.injected list * (int * string) list
+(** Rewrite a freshly built instance in place, returning the injections
+    made and the loads skipped (with reasons). *)
+
+type prepared =
+  Aptget_workloads.Workload.instance
+  * Aptget_passes.Inject.injected list
+  * (int * string) list
+(** A built, rewritten and IR-checked instance, ready to run once. *)
+
+val unmodified : transform
+(** The identity transform (baseline arms). *)
+
+val inject_hints :
+  ?cse:bool ->
+  ?veto:(Aptget_passes.Aptget_pass.hint -> string option) ->
+  Aptget_passes.Aptget_pass.hint list ->
+  transform
+(** The APT-GET pass over the given hints ({!with_hints}'s transform). *)
+
+val prepare : Aptget_workloads.Workload.t -> transform -> prepared
+(** Build a fresh instance, apply the transform and run
+    {!Verify.check_exn} on the result, under the [stage.build],
+    [stage.inject] and [stage.verify-ir] trace spans. *)
+
+val measure :
+  ?config:Aptget_machine.Machine.config ->
+  ?watchdog:Watchdog.config ->
+  ?crash:Aptget_store.Crash.t ->
+  ?sampler:Aptget_pmu.Sampler.t ->
+  ?window_cycles:int ->
+  ?on_window:(Aptget_machine.Machine.window_report -> unit) ->
+  label:string ->
+  prepared ->
+  measurement
+(** Run a prepared instance alone ({!Aptget_machine.Machine.execute})
+    under {!Watchdog.run}'s measure budget (the identity without
+    [watchdog] and [crash]), then its semantic verifier, under the
+    [stage.measure] and [stage.semantic-verify] spans. [label] becomes
+    the measurement's [workload]. *)
+
+val corun :
+  ?config:Aptget_machine.Machine.config ->
+  ?policy:Aptget_machine.Corun.policy ->
+  ?sampler:Aptget_pmu.Sampler.t ->
+  ?window_cycles:int ->
+  ?on_window:(Aptget_machine.Machine.window_report -> unit) ->
+  label:string ->
+  prepared ->
+  Aptget_workloads.Workload.t ->
+  measurement * measurement
+(** [corun ~label prepared co] runs [prepared] (with the sampler and
+    windows) and a fresh instance of [co] through
+    {!Aptget_machine.Corun.run} on one shared LLC/DRAM. Returns the
+    tenant's and the co-runner's measurements, each checked by its own
+    verifier: cache sharing must never change results. *)
+
+(** {2 Plain entry points} *)
 
 val baseline : ?config:Aptget_machine.Machine.config -> Aptget_workloads.Workload.t -> measurement
 (** Unmodified kernel. *)
@@ -151,12 +217,16 @@ type guard_config = {
 
 val default_guard : guard_config
 
+type fallback =
+  | Aj_static  (** the static A&J pass cleared the floor *)
+  | Pinned_baseline  (** the kernel with every hint vetoed *)
+
 type guard_outcome =
   | Admitted  (** candidate met the floor; its measurement is final *)
-  | Quarantined of { speedup : float; fallback : string }
+  | Quarantined of { speedup : float; fallback : fallback }
       (** candidate measured below the floor this run; recorded (when a
           store was supplied) and replaced by [fallback] *)
-  | Known_bad of { prior_speedup : float; fallback : string }
+  | Known_bad of { prior_speedup : float; fallback : fallback }
       (** the store already held this (workload, program, hints) key —
           no candidate simulation was spent *)
 
@@ -212,54 +282,6 @@ val run_guarded :
     callback). Exceptions from the thunk must propagate. The pinned
     baseline fallback is never routed through it, because its skip
     records embed the run-specific veto reason. *)
-
-(** {2 Adaptive epoch}
-
-    One supervised hinted run with concurrent re-sampling and periodic
-    execution windows — the primitive the online re-optimization loop
-    ({!Aptget_adapt}) drives once per program phase. The loop itself
-    (drift scoring, hysteresis, the retune ladder) lives above core so
-    it can reuse {!run_guarded} without a dependency cycle. *)
-
-type epoch = {
-  e_measurement : measurement;  (** the hinted run of this segment *)
-  e_windows : Aptget_machine.Machine.window_report list;
-      (** periodic counter-delta windows, in execution order; empty
-          when windowing was off *)
-  e_refit : Aptget_profile.Profiler.t option;
-      (** incremental Eq. 1 re-fit from the concurrent sampler's
-          observations of the {e rewritten} kernel ([None] when no
-          sampler rode along or the analysis failed). Its hint PCs
-          address the rewritten program: route them through the remap
-          path ({!run_guarded} with [remap]) to reach a fresh build. *)
-  e_hints_dropped : (Aptget_passes.Aptget_pass.hint * string) list;
-      (** stale hints rejected before injection, with reasons *)
-}
-
-val run_adaptive :
-  ?config:Aptget_machine.Machine.config ->
-  ?watchdog:Watchdog.config ->
-  ?crash:Aptget_store.Crash.t ->
-  ?options:Aptget_profile.Profiler.options ->
-  ?sampler:Aptget_pmu.Sampler.t ->
-  ?window_cycles:int ->
-  ?veto:(Aptget_passes.Aptget_pass.hint -> string option) ->
-  hints:Aptget_passes.Aptget_pass.hint list ->
-  Aptget_workloads.Workload.t ->
-  epoch
-(** Build a fresh instance, validate and inject [hints] (an empty or
-    fully-stale list falls back to A&J static injection — the bottom
-    rung of the degradation ladder, not an unprefetched run; a
-    non-empty list fully suppressed by [veto] runs unmodified — how the
-    loop's pinned-baseline plan holds a hint set without applying it),
-    then
-    execute under the watchdog's measure budget with [sampler] riding
-    along (it is {!Aptget_pmu.Sampler.reset} first, keeping its fault
-    model's accumulated state) and [window_cycles]-sized counter
-    windows collected. Deterministic: same seed/config in, byte-same
-    epoch out (modulo [wall_seconds]). Raises {!Watchdog.Timed_out}
-    when the measure budget fires and {!Aptget_store.Crash.Crashed}
-    when an armed crash plan does. *)
 
 val force_distance :
   int -> Aptget_passes.Aptget_pass.hint list -> Aptget_passes.Aptget_pass.hint list

@@ -68,10 +68,6 @@ let sum_measurements ~workload (ms : Pipeline.measurement list) =
         verified = Ok ();
         injected = [];
         skipped = [];
-        wall_seconds =
-          List.fold_left
-            (fun acc m -> acc +. m.Pipeline.wall_seconds)
-            0.0 ms;
       }
 
 let all lab =
@@ -95,7 +91,7 @@ let all lab =
     sum_measurements ~workload:"phased-online"
       (List.map
          (fun (s : Adapt.segment_result) ->
-           s.Adapt.s_epoch.Pipeline.e_measurement)
+           s.Adapt.s_epoch.Adapt.e_measurement)
          online.Adapt.a_segments)
   in
   (* Charge the online arm for its retune overhead: the recorded cycle

@@ -26,10 +26,10 @@
    time). *)
 
 module Table = Aptget_util.Table
-module Clock = Aptget_util.Clock
 module Pipeline = Aptget_core.Pipeline
 module Machine = Aptget_machine.Machine
 module Corun = Aptget_machine.Corun
+module Adapt = Aptget_adapt.Adapt
 module Drift = Aptget_adapt.Drift
 module Profiler = Aptget_profile.Profiler
 module Sampler = Aptget_pmu.Sampler
@@ -38,6 +38,7 @@ module Workload = Aptget_workloads.Workload
 module Randacc = Aptget_workloads.Randacc
 module Btree = Aptget_workloads.Btree
 module Thrash = Aptget_workloads.Thrash
+module Trace = Aptget_obs.Trace
 
 type pair = {
   tenant : Workload.t;
@@ -120,55 +121,29 @@ let config =
 let profile_options =
   { Profiler.default_options with Profiler.machine = config }
 
-(* One co-run of [tenant_inst] against a *fresh* co-runner instance,
-   returning the tenant's measurement (its stream outcome, verified
-   against the tenant's own memory — the co-runner is verified too;
-   cache sharing must never change semantics). *)
+(* One co-run arm under its own root span: the tenant rewritten by
+   [transform] against a fresh co-runner. Returns the tenant's
+   measurement and the instance it ran. Both streams must verify: cache
+   sharing must never change semantics. *)
 let corun_tenant ?policy ?sampler ?window_cycles ?on_window ~label
-    (pair : pair) (tenant_inst : Workload.instance) =
-  let ci = pair.corunner.Workload.build () in
-  let streams =
-    [
-      Corun.stream ?sampler ?window_cycles ?on_window
-        ~args:tenant_inst.Workload.args ~name:pair.tenant.Workload.name
-        ~mem:tenant_inst.Workload.mem tenant_inst.Workload.func;
-      Corun.stream ~args:ci.Workload.args ~name:pair.corunner.Workload.name
-        ~mem:ci.Workload.mem ci.Workload.func;
-    ]
+    (pair : pair) transform =
+  Trace.with_span ~name:"pipeline.corun" ~attrs:[ ("workload", label) ]
+  @@ fun () ->
+  let ((inst, _, _) as prepared) = Pipeline.prepare pair.tenant transform in
+  let m, co =
+    Pipeline.corun ~config ?policy ?sampler ?window_cycles ?on_window ~label
+      prepared pair.corunner
   in
-  let outcomes, wall = Clock.wall (fun () -> Corun.run ~config ?policy streams) in
-  let tenant_o, corunner_o =
-    match outcomes with
-    | [ t; c ] -> (t.Corun.so_outcome, c.Corun.so_outcome)
-    | _ -> assert false
-  in
-  (match ci.Workload.verify ci.Workload.mem corunner_o.Machine.ret with
-  | Ok () -> ()
-  | Error e -> failwith (label ^ ": co-runner verification failed: " ^ e));
-  {
-    Pipeline.workload = label;
-    outcome = tenant_o;
-    verified =
-      tenant_inst.Workload.verify tenant_inst.Workload.mem
-        tenant_o.Machine.ret;
-    injected = [];
-    skipped = [];
-    wall_seconds = wall;
-  }
+  (Lab.check m, Lab.check co, inst)
 
-(* Fresh tenant instance with [hints] injected (validated first, so a
-   stale subset degrades exactly like the adaptive pipeline's rung). *)
-let hinted_instance (pair : pair) hints =
-  let inst = pair.tenant.Workload.build () in
+(* Inject [hints], validated first, so a stale subset degrades exactly
+   like the adaptive pipeline's rung. *)
+let hinted hints : Pipeline.transform =
+ fun inst ->
   let used, _dropped = Profiler.validate_hints inst.Workload.func hints in
-  ignore (Aptget_pass.run inst.Workload.func ~hints:used);
-  Verify.check_exn inst.Workload.func;
-  inst
+  Pipeline.inject_hints used inst
 
 let cycles (m : Pipeline.measurement) = m.Pipeline.outcome.Machine.cycles
-
-let speedup ~base m =
-  float_of_int (cycles base) /. float_of_int (cycles m)
 
 type study = {
   st_name : string;
@@ -193,10 +168,10 @@ let study lab (pair : pair) =
   let solo_base = Lab.check (Pipeline.baseline ~config pair.tenant) in
   let prof = Pipeline.profile ~options:profile_options pair.tenant in
   let solo_epoch =
-    Pipeline.run_adaptive ~config ~options:profile_options ~window_cycles:wc
+    Adapt.run_epoch ~config ~options:profile_options ~window_cycles:wc
       ~hints:prof.Profiler.hints pair.tenant
   in
-  let solo_tuned = Lab.check solo_epoch.Pipeline.e_measurement in
+  let solo_tuned = Lab.check solo_epoch.Adapt.e_measurement in
   (* Co-run baseline, with a sampler riding on the unhinted tenant:
      its LBR sees iteration times inflated by the shared DRAM queue,
      which is exactly the evidence the Eq. 1 re-fit needs. *)
@@ -205,10 +180,8 @@ let study lab (pair : pair) =
       ~lbr_period:Profiler.default_options.Profiler.lbr_period
       ~pebs_period:Profiler.default_options.Profiler.pebs_period ()
   in
-  let base_inst = pair.tenant.Workload.build () in
-  let corun_base =
-    Lab.check
-      (corun_tenant ~sampler ~label:(name ^ "@corun") pair base_inst)
+  let corun_base, _, base_inst =
+    corun_tenant ~sampler ~label:(name ^ "@corun") pair Pipeline.unmodified
   in
   let refit =
     try
@@ -220,12 +193,11 @@ let study lab (pair : pair) =
   in
   (* Co-run with the stale solo hints, windows feeding the detector. *)
   let windows = ref [] in
-  let corun_stale =
-    Lab.check
-      (corun_tenant ~window_cycles:wc
-         ~on_window:(fun w -> windows := w :: !windows)
-         ~label:(name ^ "@corun-stale") pair
-         (hinted_instance pair prof.Profiler.hints))
+  let corun_stale, _, _ =
+    corun_tenant ~window_cycles:wc
+      ~on_window:(fun w -> windows := w :: !windows)
+      ~label:(name ^ "@corun-stale") pair
+      (hinted prof.Profiler.hints)
   in
   let corun_windows = List.rev !windows in
   (* Drift: epoch 1 (solo hinted) calibrates, epoch 2 (co-run) rules. *)
@@ -237,7 +209,7 @@ let study lab (pair : pair) =
       }
   in
   Drift.begin_epoch det;
-  List.iter (Drift.observe_window det) solo_epoch.Pipeline.e_windows;
+  List.iter (Drift.observe_window det) solo_epoch.Adapt.e_windows;
   ignore (Drift.end_epoch det ());
   Drift.begin_epoch det;
   List.iter (Drift.observe_window det) corun_windows;
@@ -252,20 +224,20 @@ let study lab (pair : pair) =
     match retuned_hints with
     | [] -> None
     | hints ->
-      Some
-        (Lab.check
-           (corun_tenant ~label:(name ^ "@corun-retuned") pair
-              (hinted_instance pair hints)))
+      let m, _, _ =
+        corun_tenant ~label:(name ^ "@corun-retuned") pair (hinted hints)
+      in
+      Some m
   in
   let floor = Pipeline.default_guard.Pipeline.floor in
   let final, action =
     match corun_retuned with
     | Some m
-      when speedup ~base:corun_base m >= floor
+      when Pipeline.speedup ~baseline:corun_base m >= floor
            && cycles m <= cycles corun_stale ->
       (m, "retuned")
     | _ ->
-      if speedup ~base:corun_base corun_stale >= 1.0 then
+      if Pipeline.speedup ~baseline:corun_base corun_stale >= 1.0 then
         (corun_stale, "kept")
       else (corun_base, "pinned")
   in
@@ -311,7 +283,7 @@ let arms_table studies =
             s.st_name;
             arm;
             string_of_int (cycles m);
-            Table.fmt_speedup (speedup ~base m);
+            Table.fmt_speedup (Pipeline.speedup ~baseline:base m);
             fmt_counters m;
           ]
       in
@@ -338,8 +310,8 @@ let drift_table studies =
     (fun s ->
       (* Headline criterion: how much of the solo speedup survives the
          co-runner when the hints are not retuned. *)
-      let solo_sp = speedup ~base:s.st_solo_base s.st_solo_tuned in
-      let stale_sp = speedup ~base:s.st_corun_base s.st_corun_stale in
+      let solo_sp = Pipeline.speedup ~baseline:s.st_solo_base s.st_solo_tuned in
+      let stale_sp = Pipeline.speedup ~baseline:s.st_corun_base s.st_corun_stale in
       let loss = 1.0 -. (stale_sp /. solo_sp) in
       Table.add_row t
         [
@@ -382,19 +354,18 @@ let sweep_table ((pair : pair), (s : study)) =
         let solo =
           Lab.check (Pipeline.with_hints ~config ~hints pair.tenant)
         in
-        let corun =
-          Lab.check
-            (corun_tenant
-               ~label:(Printf.sprintf "%s@corun-d%d" name d)
-               pair (hinted_instance pair hints))
+        let corun, _, _ =
+          corun_tenant
+            ~label:(Printf.sprintf "%s@corun-d%d" name d)
+            pair (hinted hints)
         in
         Table.add_row t
           [
             string_of_int d;
             string_of_int (cycles solo);
-            Table.fmt_speedup (speedup ~base:solo_base solo);
+            Table.fmt_speedup (Pipeline.speedup ~baseline:solo_base solo);
             string_of_int (cycles corun);
-            Table.fmt_speedup (speedup ~base:corun_base corun);
+            Table.fmt_speedup (Pipeline.speedup ~baseline:corun_base corun);
           ])
       distances;
     Some t
@@ -404,23 +375,6 @@ let sweep_table ((pair : pair), (s : study)) =
    stream's own cycle count because the shared LLC/DRAM interleaving
    changes with it. *)
 let policy_table (pair : pair) =
-  let run policy =
-    let ti = pair.tenant.Workload.build () in
-    let ci = pair.corunner.Workload.build () in
-    let outs =
-      Corun.run ~config ~policy
-        [
-          Corun.stream ~args:ti.Workload.args ~name:pair.tenant.Workload.name
-            ~mem:ti.Workload.mem ti.Workload.func;
-          Corun.stream ~args:ci.Workload.args
-            ~name:pair.corunner.Workload.name ~mem:ci.Workload.mem
-            ci.Workload.func;
-        ]
-    in
-    match outs with
-    | [ t; c ] -> (t.Corun.so_outcome, c.Corun.so_outcome)
-    | _ -> assert false
-  in
   let t =
     Table.create
       ~title:
@@ -430,12 +384,15 @@ let policy_table (pair : pair) =
   in
   List.iter
     (fun policy ->
-      let tenant_o, corunner_o = run policy in
+      let tenant, corunner, _ =
+        corun_tenant ~policy ~label:pair.tenant.Workload.name pair
+          Pipeline.unmodified
+      in
       Table.add_row t
         [
           Corun.policy_to_string policy;
-          string_of_int tenant_o.Machine.cycles;
-          string_of_int corunner_o.Machine.cycles;
+          string_of_int (cycles tenant);
+          string_of_int (cycles corunner);
         ])
     [
       Corun.Round_robin;

@@ -128,30 +128,6 @@ let disk_store t ~variant ~options w m =
   | None -> ()
   | Some dir -> Meas_cache.store ~dir (cache_key t ~variant ~options w) m
 
-(* Memo key is "<workload>/<variant>" — the same [variant] string feeds
-   the persistent cache key. *)
-let memo t ~variant ?(options = "") (w : Workload.t) f =
-  let key = w.Workload.name ^ "/" ^ variant in
-  match find_memo t key with
-  | Some m -> m
-  | None ->
-    let m =
-      match disk_load t ~variant ~options w with
-      | Some m -> check m
-      | None ->
-        let m = check (f ()) in
-        disk_store t ~variant ~options w m;
-        m
-    in
-    add_memo t key m
-
-let baseline t w = memo t ~variant:"baseline" w (fun () -> Pipeline.baseline w)
-
-let aj t ?distance w =
-  let d = Option.value ~default:Aptget_passes.Aj.default_distance distance in
-  memo t ~variant:(Printf.sprintf "aj-%d" d) w (fun () ->
-      Pipeline.aj ~distance:d w)
-
 let profiled t (w : Workload.t) =
   match locked t (fun () -> Hashtbl.find_opt t.profiles w.Workload.name) with
   | Some p -> p
@@ -163,29 +139,6 @@ let profiled t (w : Workload.t) =
         | None ->
           Hashtbl.add t.profiles w.Workload.name p;
           p)
-
-let aptget t w =
-  memo t ~variant:"aptget" ~options:profile_options w (fun () ->
-      let prof = profiled t w in
-      Pipeline.with_hints ~hints:prof.Profiler.hints w)
-
-let static_distance t ~distance w =
-  memo t
-    ~variant:(Printf.sprintf "static-%d" distance)
-    ~options:profile_options w
-    (fun () ->
-      let prof = profiled t w in
-      Pipeline.with_hints
-        ~hints:(Pipeline.force_distance distance prof.Profiler.hints)
-        w)
-
-let forced_site t site w =
-  memo t
-    ~variant:(Printf.sprintf "site-%s" (Inject.site_to_string site))
-    ~options:profile_options w
-    (fun () ->
-      let prof = profiled t w in
-      Pipeline.with_hints ~hints:(Pipeline.force_site site prof.Profiler.hints) w)
 
 (* Externally computed measurements (e.g. the adaptive experiment's
    summed online/one-shot arms) enter the memo tables here so [summary]
@@ -238,20 +191,50 @@ let job_variant = function
   | Static { distance; _ } -> Printf.sprintf "static-%d" distance
   | Site { site; _ } -> "site-" ^ Inject.site_to_string site
 
-let job_options = function
-  | Baseline _ | Aj _ -> ""
-  | Aptget _ | Static _ | Site _ -> profile_options
+(* Memo key is "<workload>/<variant>" — the same [variant] string feeds
+   the persistent cache key. *)
+let job_key j = (job_workload j).Workload.name ^ "/" ^ job_variant j
 
 let job_needs_profile = function
   | Baseline _ | Aj _ -> false
   | Aptget _ | Static _ | Site _ -> true
 
-let run_job t = function
-  | Baseline w -> ignore (baseline t w)
-  | Aj { distance; w } -> ignore (aj t ?distance w)
-  | Aptget w -> ignore (aptget t w)
-  | Static { distance; w } -> ignore (static_distance t ~distance w)
-  | Site { site; w } -> ignore (forced_site t site w)
+let job_options j = if job_needs_profile j then profile_options else ""
+
+let simulate t = function
+  | Baseline w -> Pipeline.baseline w
+  | Aj { distance; w } -> Pipeline.aj ?distance w
+  | Aptget w -> Pipeline.with_hints ~hints:(profiled t w).Profiler.hints w
+  | Static { distance; w } ->
+    Pipeline.with_hints
+      ~hints:(Pipeline.force_distance distance (profiled t w).Profiler.hints)
+      w
+  | Site { site; w } ->
+    Pipeline.with_hints
+      ~hints:(Pipeline.force_site site (profiled t w).Profiler.hints)
+      w
+
+let run_job t j =
+  match find_memo t (job_key j) with
+  | Some m -> m
+  | None ->
+    let variant = job_variant j and options = job_options j in
+    let w = job_workload j in
+    let m =
+      match disk_load t ~variant ~options w with
+      | Some m -> check m
+      | None ->
+        let m = check (simulate t j) in
+        disk_store t ~variant ~options w m;
+        m
+    in
+    add_memo t (job_key j) m
+
+let baseline t w = run_job t (Baseline w)
+let aj t ?distance w = run_job t (Aj { distance; w })
+let aptget t w = run_job t (Aptget w)
+let static_distance t ~distance w = run_job t (Static { distance; w })
+let forced_site t site w = run_job t (Site { site; w })
 
 (* Fan a batch of independent measurements across domains. Results land
    in the memo tables, so the subsequent (serial) table/JSON rendering
@@ -269,7 +252,7 @@ let run_batch ?jobs t js =
   let todo =
     List.filter
       (fun j ->
-        let key = (job_workload j).Workload.name ^ "/" ^ job_variant j in
+        let key = job_key j in
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.add seen key ();
@@ -287,8 +270,7 @@ let run_batch ?jobs t js =
             (job_workload j)
         with
         | Some m ->
-          let key = (job_workload j).Workload.name ^ "/" ^ job_variant j in
-          ignore (add_memo t key (check m));
+          ignore (add_memo t (job_key j) (check m));
           false
         | None -> true)
       todo
@@ -316,4 +298,4 @@ let run_batch ?jobs t js =
           if not (Hashtbl.mem t.profiles w.Workload.name) then
             Hashtbl.add t.profiles w.Workload.name p))
     (Pool.run ?jobs (fun w -> (w, Pipeline.profile w)) profile_needed);
-  ignore (Pool.run ?jobs (fun j -> run_job t j) todo)
+  ignore (Pool.run ?jobs (run_job t) todo)

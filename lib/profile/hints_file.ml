@@ -286,11 +286,6 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load ~path =
-  match read_file path with
-  | contents -> of_string contents
-  | exception Sys_error e -> Error e
-
 (* Lenient loads salvage what they can; the lines they drop are bit-rot
    an operator should be able to see, so the count also lands on the
    obs registry (a no-op when metrics are off). *)
@@ -298,14 +293,6 @@ let count_salvage errors =
   match List.length errors with
   | 0 -> ()
   | n -> Aptget_obs.Metrics.incr ~by:n "store.salvage.hints_file"
-
-let load_lenient ~path =
-  match read_file path with
-  | contents ->
-    let hints, errors = of_string_lenient contents in
-    count_salvage errors;
-    Ok (hints, errors)
-  | exception Sys_error e -> Error e
 
 let load_doc ~path =
   match read_file path with

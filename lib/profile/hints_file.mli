@@ -76,7 +76,11 @@ val doc_of_string_lenient : string -> doc * (int * string) list
 
 val save_doc : path:string -> doc -> unit
 val load_doc : path:string -> (doc, string) result
+(** Read and strictly parse a file; I/O problems are reported as
+    [Error]. *)
+
 val load_doc_lenient : path:string -> (doc * (int * string) list, string) result
+(** Read and leniently parse a file; only I/O problems are [Error]. *)
 
 (** {2 Plain-hint API (v1 files; byte-compatible with earlier releases)} *)
 
@@ -101,12 +105,3 @@ val save : path:string -> Aptget_passes.Aptget_pass.hint list -> unit
 (** Write to a file, atomically (write-to-temp + rename in the same
     directory, like {!save_doc}): a crash mid-save leaves the previous
     file contents intact. *)
-
-val load : path:string -> (Aptget_passes.Aptget_pass.hint list, string) result
-(** Read and strictly parse a file; I/O problems are reported as
-    [Error]. *)
-
-val load_lenient :
-  path:string ->
-  (Aptget_passes.Aptget_pass.hint list * (int * string) list, string) result
-(** Read and leniently parse a file; only I/O problems are [Error]. *)

@@ -72,28 +72,14 @@ let tighten (wd : Watchdog.config) = function
       measure_budget = cap wd.Watchdog.measure_budget;
     }
 
-let render_measurement label (m : Pipeline.measurement) =
-  (* Same shape as the one-shot CLI's outcome lines; wall time is
-     deliberately absent, it is the one nondeterministic field. *)
-  Printf.sprintf
-    "%-10s cycles=%-12d instrs=%-10d IPC=%.3f MPKI=%.2f mem-stall=%s \
-     prefetches=%d verified=%s\n"
-    label m.Pipeline.outcome.Machine.cycles
-    m.Pipeline.outcome.Machine.instructions
-    (Machine.ipc m.Pipeline.outcome)
-    (Machine.mpki m.Pipeline.outcome)
-    (Table.fmt_pct (Machine.memory_stall_fraction m.Pipeline.outcome))
-    m.Pipeline.outcome.Machine.dyn_prefetches
-    (match m.Pipeline.verified with Ok () -> "ok" | Error e -> "FAILED: " ^ e)
-
 let render_guarded ~tenant ~guard (g : Pipeline.guarded) =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Printf.sprintf "workload=%s tenant=%s program=%s\n" g.Pipeline.g_workload
        tenant
        (Fingerprint.hex g.Pipeline.g_program));
-  Buffer.add_string b (render_measurement "baseline" g.Pipeline.g_baseline);
-  Buffer.add_string b (render_measurement "APT-GET" g.Pipeline.g_final);
+  Buffer.add_string b (Pipeline.outcome_line "baseline" g.Pipeline.g_baseline);
+  Buffer.add_string b (Pipeline.outcome_line "APT-GET" g.Pipeline.g_final);
   (match g.Pipeline.g_remap with
   | Some r ->
     Buffer.add_string b

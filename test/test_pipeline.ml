@@ -124,7 +124,6 @@ let test_verified_exn_raises () =
       verified = Error "boom";
       injected = [];
       skipped = [];
-      wall_seconds = 0.;
     }
   in
   Alcotest.(check bool) "raises" true
@@ -132,6 +131,78 @@ let test_verified_exn_raises () =
        ignore (Pipeline.verified_exn m);
        false
      with Failure _ -> true)
+
+(* ---------------- the arm recipe ---------------- *)
+
+module Corun = Aptget_machine.Corun
+module Thrash = Aptget_workloads.Thrash
+module Adapt = Aptget_adapt.Adapt
+
+let test_corun_matches_direct () =
+  (* Pipeline.corun is Corun.run on a freshly built tenant and
+     co-runner, tenant first: same outcomes as driving it by hand. *)
+  let w = micro_w () in
+  let co =
+    Thrash.workload ~params:{ Thrash.words = 1 lsl 15; passes = 2 } ~name:"thrash-t" ()
+  in
+  let hints = (Pipeline.profile w).Profiler.hints in
+  let tenant, corunner =
+    Pipeline.corun ~label:"micro@corun"
+      (Pipeline.prepare w (Pipeline.inject_hints hints))
+      co
+  in
+  let ti = w.Workload.build () and ci = co.Workload.build () in
+  ignore (Aptget_pass.run ti.Workload.func ~hints);
+  let direct =
+    Corun.run
+      [
+        Corun.stream ~args:ti.Workload.args ~name:"t" ~mem:ti.Workload.mem
+          ti.Workload.func;
+        Corun.stream ~args:ci.Workload.args ~name:"c" ~mem:ci.Workload.mem
+          ci.Workload.func;
+      ]
+  in
+  (match direct with
+  | [ t; c ] ->
+    Alcotest.(check bool) "tenant outcome" true
+      (tenant.Pipeline.outcome = t.Corun.so_outcome);
+    Alcotest.(check bool) "co-runner outcome" true
+      (corunner.Pipeline.outcome = c.Corun.so_outcome)
+  | _ -> Alcotest.fail "expected two stream outcomes");
+  Alcotest.(check string) "tenant label" "micro@corun" tenant.Pipeline.workload;
+  Alcotest.(check string) "co-runner label" "thrash-t" corunner.Pipeline.workload;
+  Alcotest.(check bool) "tenant injected" true (tenant.Pipeline.injected <> []);
+  Alcotest.(check bool) "tenant verified" true (tenant.Pipeline.verified = Ok ());
+  Alcotest.(check bool) "co-runner verified" true
+    (corunner.Pipeline.verified = Ok ())
+
+let test_run_epoch_matches_with_hints () =
+  (* Without a sampler or a veto an epoch is the plain hinted run of
+     the validated hints; the stale hint is reported, not injected. *)
+  let w = micro_w () in
+  let good = (Pipeline.profile w).Profiler.hints in
+  let stale =
+    { Aptget_pass.load_pc = 999_983; distance = 8; site = Inject.Inner; sweep = 1 }
+  in
+  let hints = good @ [ stale ] in
+  let e = Adapt.run_epoch ~hints w in
+  let validated, _ =
+    Profiler.validate_hints (w.Workload.build ()).Workload.func hints
+  in
+  let plain = Pipeline.with_hints ~hints:validated w in
+  Alcotest.(check bool) "same outcome" true
+    (e.Adapt.e_measurement.Pipeline.outcome = plain.Pipeline.outcome);
+  Alcotest.(check bool) "same injections" true
+    (e.Adapt.e_measurement.Pipeline.injected = plain.Pipeline.injected);
+  Alcotest.(check bool) "verified" true
+    (e.Adapt.e_measurement.Pipeline.verified = Ok ());
+  Alcotest.(check bool) "no windows, no refit" true
+    (e.Adapt.e_windows = [] && e.Adapt.e_refit = None);
+  match e.Adapt.e_hints_dropped with
+  | [ (h, _) ] ->
+    Alcotest.(check int) "the stale PC" stale.Aptget_pass.load_pc
+      h.Aptget_pass.load_pc
+  | l -> Alcotest.failf "expected one dropped hint, got %d" (List.length l)
 
 (* ---------------- run_robust ---------------- *)
 
@@ -286,7 +357,6 @@ let meas_equal (a : Pipeline.measurement) (b : Pipeline.measurement) =
   && a.Pipeline.verified = b.Pipeline.verified
   && a.Pipeline.injected = b.Pipeline.injected
   && a.Pipeline.skipped = b.Pipeline.skipped
-  && a.Pipeline.wall_seconds = b.Pipeline.wall_seconds
 
 let test_meas_cache_roundtrip () =
   let w = micro_w () in
@@ -347,6 +417,33 @@ let test_meas_cache_rejects_corruption () =
   Alcotest.(check bool) "truncated record is a miss" true
     (Meas_cache.load ~dir key = None)
 
+let test_meas_cache_old_wall_record_misses () =
+  (* Records written while measurements still carried wall time have a
+     "wall" line; with a valid CRC they must still load as a miss. *)
+  let w = micro_w () in
+  let key =
+    Meas_cache.key ~variant:"baseline" ~workload:w.Workload.name ~program:1
+      ~config:Machine.default_config ()
+  in
+  let dir = tmpdir "aptget-meas" in
+  Meas_cache.store ~dir key (Pipeline.baseline w);
+  let file =
+    match Sys.readdir dir with
+    | [| f |] -> Filename.concat dir f
+    | _ -> Alcotest.fail "expected exactly one cache file"
+  in
+  Alcotest.(check bool) "fresh record hits" true (Meas_cache.load ~dir key <> None);
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  let body =
+    String.sub text 0 (String.rindex (String.trim text) '\n' + 1)
+    ^ "wall 0x1.8p-3\n"
+  in
+  let crc = Aptget_store.Crc32.(hex (string body)) in
+  Out_channel.with_open_bin file (fun oc ->
+      Out_channel.output_string oc (body ^ "crc " ^ crc ^ "\n"));
+  Alcotest.(check bool) "old-format record is a miss" true
+    (Meas_cache.load ~dir key = None)
+
 (* The lab with a cache dir must produce the same measurements on a
    cold run (simulate + store) and a warm run (load), including through
    run_batch at several parallelism levels. *)
@@ -398,6 +495,10 @@ let () =
           Alcotest.test_case "train/test transfer" `Quick test_train_test_hints_transfer;
           Alcotest.test_case "verified_exn" `Quick test_verified_exn_raises;
           Alcotest.test_case "config rows" `Quick test_config_rows;
+          Alcotest.test_case "corun matches Corun.run" `Quick
+            test_corun_matches_direct;
+          Alcotest.test_case "run_epoch matches with_hints" `Quick
+            test_run_epoch_matches_with_hints;
         ] );
       ( "robust",
         [
@@ -423,6 +524,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_meas_cache_roundtrip;
           Alcotest.test_case "rejects corruption" `Quick
             test_meas_cache_rejects_corruption;
+          Alcotest.test_case "old wall record misses" `Quick
+            test_meas_cache_old_wall_record_misses;
           Alcotest.test_case "lab cache hit identical" `Quick
             test_lab_cache_hit_identical;
         ] );

@@ -177,11 +177,12 @@ let test_hints_file_io () =
     [ { Aptget_pass.load_pc = 7; distance = 4; site = Inject.Inner; sweep = 1 } ]
   in
   Hints_file.save ~path hints;
-  (match Hints_file.load ~path with
-  | Ok parsed -> Alcotest.(check bool) "load = save" true (parsed = hints)
+  (match Hints_file.load_doc ~path with
+  | Ok doc ->
+    Alcotest.(check bool) "load = save" true (Hints_file.hints_of_doc doc = hints)
   | Error e -> Alcotest.fail e);
   Sys.remove path;
-  match Hints_file.load ~path:"/nonexistent/aptget" with
+  match Hints_file.load_doc ~path:"/nonexistent/aptget" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
 

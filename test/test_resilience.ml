@@ -398,7 +398,7 @@ let test_guard_baseline_fallback_when_aj_disabled () =
   (match g.Pipeline.g_outcome with
   | Pipeline.Quarantined { fallback; _ } ->
     Alcotest.(check bool) "pinned to the baseline" true
-      (String.length fallback > 0 && fallback.[0] = 'b')
+      (fallback = Pipeline.Pinned_baseline)
   | o -> Alcotest.fail (Pipeline.guard_outcome_to_string o));
   Alcotest.(check int) "exactly the baseline cycle count"
     g.Pipeline.g_baseline.Pipeline.outcome.Machine.cycles

@@ -311,9 +311,10 @@ let test_hints_save_atomic_under_crash () =
       | () -> Alcotest.fail "crash plan did not fire"
       | exception Crash.Crashed _ -> ());
       Alcotest.(check string) "old hints intact" before (read_all path);
-      match Hints_file.load ~path with
-      | Ok hints ->
-        Alcotest.(check int) "still parses" 2 (List.length hints)
+      match Hints_file.load_doc ~path with
+      | Ok doc ->
+        Alcotest.(check int) "still parses" 2
+          (List.length (Hints_file.hints_of_doc doc))
       | Error e -> Alcotest.failf "load after crash: %s" e)
 
 let test_hints_torn_tail_lenient () =
@@ -325,9 +326,10 @@ let test_hints_torn_tail_lenient () =
          counts the fragment. *)
       Atomic_file.write ~path
         (String.sub contents 0 (String.length contents - 4));
-      match Hints_file.load_lenient ~path with
-      | Ok (hints, errors) ->
-        Alcotest.(check int) "whole hints kept" 1 (List.length hints);
+      match Hints_file.load_doc_lenient ~path with
+      | Ok (doc, errors) ->
+        Alcotest.(check int) "whole hints kept" 1
+          (List.length (Hints_file.hints_of_doc doc));
         Alcotest.(check int) "torn line counted" 1 (List.length errors)
       | Error e -> Alcotest.failf "lenient load: %s" e)
 
